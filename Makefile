@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench-check bench-report bench-parallel bench-cache bench-service fmt lint lint-sync model-check clean
+.PHONY: verify build test doc serve fuzz fuzz-faults fuzz-service bench-check bench-report bench-parallel bench-cache bench-service layerbench fmt lint lint-sync model-check clean
 
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
@@ -84,6 +84,14 @@ bench-cache:
 # single-client session.
 bench-service:
 	$(CARGO) run --release -p dynsum-bench --bin bench_service -- --clients 4 --requests 100
+
+# The repository benchmark (layerbench/, declared in BENCHMARK.json) is
+# its own Cargo workspace with path dependencies on the core, clients
+# and service crates, so nothing else compiles it: build, test and lint
+# it here so an API change that breaks it fails before a benchmark run.
+layerbench:
+	$(CARGO) test --release --offline --manifest-path layerbench/Cargo.toml
+	$(CARGO) clippy --manifest-path layerbench/Cargo.toml --all-targets -- -D warnings
 
 fmt:
 	$(CARGO) fmt --all

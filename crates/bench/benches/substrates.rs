@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use dynsum_andersen::Andersen;
 use dynsum_bench::ExperimentOptions;
-use dynsum_core::{EngineConfig, StaSum};
+use dynsum_core::{EngineConfig, EngineKind, Session};
 use dynsum_pag::text::{parse_pag, write_pag};
 use dynsum_workloads::{generate, GeneratorOptions, PROFILES};
 
@@ -29,10 +29,10 @@ fn stasum_precompute(c: &mut Criterion) {
     let workload = options().workloads().remove(0);
     c.bench_function("stasum_precompute/soot-c", |b| {
         b.iter(|| {
-            StaSum::precompute_with(
+            Session::with_config(
                 std::hint::black_box(&workload.pag),
+                EngineKind::StaSum,
                 EngineConfig::default(),
-                Default::default(),
             )
         });
     });

@@ -149,10 +149,6 @@ fn main() {
             }
         );
     }
-    eprintln!(
-        "  run_batch overhead vs legacy engine @ 1 thread: {:+.1}%",
-        report.run_batch_overhead_vs_legacy_pct
-    );
     for p in &report.cache_pressure {
         eprintln!(
             "  cache_pressure cap {:>9}: {:>8.1} q/s  hit rate {:>5.1}%  {:>6} evictions  \

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use dynsum_cfl::Trace;
 use dynsum_clients::{run_batches, run_client, ClientKind};
-use dynsum_core::{DemandPointsTo, DynSum, EngineConfig, StaSum};
+use dynsum_core::{EngineConfig, Session};
 use dynsum_workloads::{motivating_pag, Motivating, SCALABILITY_BENCHMARKS};
 
 use crate::options::{EngineKind, ExperimentOptions};
@@ -63,13 +63,12 @@ impl Table1Output {
 /// contain *reuse* steps.
 pub fn table1() -> Table1Output {
     let motivating = motivating_pag();
-    let mut engine = DynSum::new(&motivating.pag);
-    engine.set_tracing(true);
-
-    let r1 = engine.points_to(motivating.s1);
-    let trace_s1 = engine.take_trace().expect("tracing enabled");
-    let r2 = engine.points_to(motivating.s2);
-    let trace_s2 = engine.take_trace().expect("tracing enabled");
+    let ((r1, trace_s1), (r2, trace_s2)) = {
+        let session = Session::new(&motivating.pag, EngineKind::DynSum);
+        let mut handle = session.handle();
+        let s1 = handle.points_to_traced(motivating.s1);
+        (s1, handle.points_to_traced(motivating.s2))
+    };
 
     let label = |pts: &dynsum_cfl::PointsToSet| -> Vec<String> {
         pts.objects()
@@ -316,9 +315,9 @@ pub fn table4(opts: &ExperimentOptions) -> Table4Output {
     for w in opts.workloads() {
         for client in ClientKind::ALL {
             for engine_kind in EngineKind::TABLE4 {
-                let mut engine = engine_kind.build(&w.pag, config);
+                let mut session = Session::with_config(&w.pag, engine_kind, config);
                 let started = Instant::now();
-                let report = run_client(client, &w.pag, &w.info, engine.as_mut());
+                let report = run_client(client, &w.info, &mut session, 1);
                 let elapsed = started.elapsed();
                 cells.push(Table4Cell {
                     benchmark: w.name.clone(),
@@ -387,10 +386,10 @@ pub fn figure4(opts: &ExperimentOptions, n_batches: usize) -> Vec<BatchSeries> {
             continue;
         }
         for client in ClientKind::ALL {
-            let mut refine = EngineKind::RefinePts.build(&w.pag, config);
-            let refine_batches = run_batches(client, &w.pag, &w.info, refine.as_mut(), n_batches);
-            let mut dynsum = EngineKind::DynSum.build(&w.pag, config);
-            let dynsum_batches = run_batches(client, &w.pag, &w.info, dynsum.as_mut(), n_batches);
+            let mut refine = Session::with_config(&w.pag, EngineKind::RefinePts, config);
+            let refine_batches = run_batches(client, &w.info, &mut refine, n_batches, 1);
+            let mut dynsum = Session::with_config(&w.pag, EngineKind::DynSum, config);
+            let dynsum_batches = run_batches(client, &w.info, &mut dynsum, n_batches, 1);
             out.push(BatchSeries {
                 benchmark: w.name.clone(),
                 client,
@@ -474,11 +473,10 @@ pub fn figure5(opts: &ExperimentOptions, n_batches: usize) -> Vec<Figure5Row> {
         if opts.benchmarks.is_empty() && !SCALABILITY_BENCHMARKS.contains(&w.name.as_str()) {
             continue;
         }
-        let stasum = StaSum::precompute_with(&w.pag, config, Default::default());
-        let stasum_total = stasum.summary_count();
+        let stasum_total = Session::with_config(&w.pag, EngineKind::StaSum, config).summary_count();
         for client in ClientKind::ALL {
-            let mut dynsum = DynSum::with_config(&w.pag, config);
-            let batches = run_batches(client, &w.pag, &w.info, &mut dynsum, n_batches);
+            let mut dynsum = Session::with_config(&w.pag, EngineKind::DynSum, config);
+            let batches = run_batches(client, &w.info, &mut dynsum, n_batches, 1);
             out.push(Figure5Row {
                 benchmark: w.name.clone(),
                 client,
@@ -534,16 +532,16 @@ pub fn ablation(opts: &ExperimentOptions) -> Vec<AblationRow> {
     let base = opts.engine_config();
     for w in opts.workloads() {
         let run = |label: &str, config: EngineConfig, out: &mut Vec<AblationRow>| {
-            let mut engine = DynSum::with_config(&w.pag, config);
+            let mut session = Session::with_config(&w.pag, EngineKind::DynSum, config);
             let started = Instant::now();
-            let report = run_client(ClientKind::NullDeref, &w.pag, &w.info, &mut engine);
+            let report = run_client(ClientKind::NullDeref, &w.info, &mut session, 1);
             out.push(AblationRow {
                 label: label.to_owned(),
                 benchmark: w.name.clone(),
                 millis: started.elapsed().as_secs_f64() * 1e3,
                 edges: report.stats.edges_traversed,
                 unresolved: report.unresolved,
-                summaries: engine.summary_count(),
+                summaries: session.summary_count(),
             });
         };
         run("cache on (default)", base, &mut out);

@@ -34,8 +34,8 @@ pub use experiments::{
 };
 pub use options::{EngineKind, ExperimentOptions};
 pub use perf::{
-    perf_report, perf_report_with_threads, render_perf_json, BatchPerf, CachePressurePerf,
-    EnginePerf, PerfProfile, PerfReport, ServicePerf, ThreadScalePerf, WarmStartPerf,
-    DEFAULT_CLIENT_COUNTS, DEFAULT_THREAD_COUNTS, PERF_BATCHES, PERF_ENGINES,
+    perf_report, perf_report_with_threads, render_perf_json, CachePressurePerf, EnginePerf,
+    PerfProfile, PerfReport, ServicePerf, ThreadScalePerf, WarmStartPerf, DEFAULT_CLIENT_COUNTS,
+    DEFAULT_THREAD_COUNTS, PERF_BATCHES, PERF_ENGINES,
 };
 pub use table::Table;

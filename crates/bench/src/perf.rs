@@ -11,8 +11,8 @@
 use std::time::Instant;
 
 use dynsum_cfl::{CtxId, QueryResult};
-use dynsum_clients::{queries_for, run_batches, run_client, ClientKind};
-use dynsum_core::{DemandPointsTo, DynSum, Session, SessionQuery};
+use dynsum_clients::{queries_for, run_client, ClientKind};
+use dynsum_core::{EngineConfig, Session, SessionQuery};
 use dynsum_pag::ObjId;
 use dynsum_workloads::SCALABILITY_BENCHMARKS;
 
@@ -110,21 +110,10 @@ impl EnginePerf {
     }
 }
 
-/// One DYNSUM batch measurement (cache persists across batches).
-#[derive(Debug, Clone)]
-pub struct BatchPerf {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Per-batch wall milliseconds.
-    pub batch_ms: Vec<f64>,
-    /// Per-batch query counts.
-    pub batch_queries: Vec<usize>,
-}
-
 /// One point of the summary-cache pressure sweep: the DYNSUM batched
 /// NullDeref streams executed on a 1-thread session under a
 /// `max_cached_summaries` cap, with per-query results checked against
-/// the sequential path (eviction must never change them) and the
+/// the cache-free reference (eviction must never change them) and the
 /// hit-rate/throughput trade-off recorded.
 #[derive(Debug, Clone)]
 pub struct CachePressurePerf {
@@ -144,7 +133,7 @@ pub struct CachePressurePerf {
     /// per-benchmark sessions (the cap applies per session, so this is
     /// ≤ cap when capped).
     pub final_summaries: usize,
-    /// `true` when every query matched the sequential engine byte for
+    /// `true` when every query matched the cache-free reference byte for
     /// byte.
     pub results_identical: bool,
 }
@@ -153,7 +142,7 @@ pub struct CachePressurePerf {
 /// fresh process, cold (empty cache) vs warm (summary cache restored
 /// from a `Session::save_snapshot` byte image saved by a previous
 /// "process" that served the whole stream). Results are checked against
-/// the sequential baseline in both modes — a warm restart must be
+/// the cache-free reference in both modes — a warm restart must be
 /// outcome-invisible. Timings are medians over alternating paired
 /// rounds; the one-time snapshot load is reported separately (it is a
 /// restart cost, like engine setup, not per-batch work).
@@ -182,14 +171,14 @@ pub struct WarmStartPerf {
     /// `warm_qps / cold_qps` (the headline warm-restart win).
     pub warm_speedup: f64,
     /// `true` when every cold *and* warm first-batch result matched the
-    /// sequential baseline byte for byte.
+    /// cache-free reference byte for byte.
     pub results_identical: bool,
 }
 
 /// One point of the `Session::run_batch` thread-scaling series: the
 /// DYNSUM batched NullDeref streams executed on a shared session at a
-/// fixed worker-thread count, with per-query results checked against the
-/// sequential `DemandPointsTo` path.
+/// fixed worker-thread count, with per-query results checked against a
+/// cache-free DYNSUM session queried in order.
 #[derive(Debug, Clone)]
 pub struct ThreadScalePerf {
     /// Worker threads per batch.
@@ -203,7 +192,7 @@ pub struct ThreadScalePerf {
     /// Throughput relative to the 1-thread session point.
     pub speedup_vs_1: f64,
     /// `true` when every query's `(resolved, points-to set)` matched the
-    /// sequential engine byte for byte.
+    /// cache-free reference byte for byte.
     pub results_identical: bool,
 }
 
@@ -250,27 +239,21 @@ pub struct PerfReport {
     pub host_parallelism: usize,
     /// Per-engine aggregates, in a fixed order.
     pub engines: Vec<EnginePerf>,
-    /// DYNSUM batch series (NullDeref, 10 batches) per benchmark.
-    pub dynsum_batches: Vec<BatchPerf>,
     /// The headline metric: DYNSUM queries/sec over the batched
-    /// NullDeref streams (cache warm after the first batch).
+    /// NullDeref streams (cache warm after the first batch) — the
+    /// 1-thread point of [`session_scaling`](Self::session_scaling).
     pub dynsum_batch_throughput_qps: f64,
     /// The `Session::run_batch` thread-scaling series over the same
     /// streams (sharded summary cache, merge-on-join).
     pub session_scaling: Vec<ThreadScalePerf>,
     /// The summary-cache pressure sweep: uncapped plus at least three
     /// `max_cached_summaries` cap points at 1 thread, each verified
-    /// result-identical to the sequential path.
+    /// result-identical to the cache-free reference.
     pub cache_pressure: Vec<CachePressurePerf>,
     /// The warm-restart series: cold vs snapshot-restored first-batch
     /// throughput per benchmark, each verified result-identical to the
-    /// sequential path.
+    /// cache-free reference.
     pub warm_start: Vec<WarmStartPerf>,
-    /// Per-batch overhead of the 1-thread `Session::run_batch` path
-    /// relative to the legacy persistent `DynSum` engine on the same
-    /// streams, in percent (positive = session slower). The merge,
-    /// snapshot, and handle-reuse machinery should keep this small.
-    pub run_batch_overhead_vs_legacy_pct: f64,
     /// The service-daemon series: one point per client count, each
     /// verified answer-identical to a clean single-client session.
     pub service: Vec<ServicePerf>,
@@ -333,9 +316,9 @@ pub fn perf_report_with_threads(
         for w in &workloads {
             for client in ClientKind::ALL {
                 let setup_started = Instant::now();
-                let mut engine = kind.build(&w.pag, config);
+                let mut session = Session::with_config(&w.pag, kind, config);
                 perf.setup_ms += setup_started.elapsed().as_secs_f64() * 1e3;
-                let report = run_client(client, &w.pag, &w.info, engine.as_mut());
+                let report = run_client(client, &w.info, &mut session, 1);
                 perf.wall_ms += report.elapsed.as_secs_f64() * 1e3;
                 perf.edges_traversed += report.stats.edges_traversed;
                 perf.cache_hits += report.stats.cache_hits;
@@ -347,49 +330,24 @@ pub fn perf_report_with_threads(
         engines.push(perf);
     }
 
-    // The batched throughput run: one persistent DYNSUM engine per
-    // benchmark, NullDeref stream split into 10 batches.
-    let mut dynsum_batches = Vec::new();
-    let mut total_queries = 0usize;
-    let mut total_secs = 0.0f64;
-    for w in &workloads {
-        let mut engine = EngineKind::DynSum.build(&w.pag, config);
-        let batches = run_batches(
-            ClientKind::NullDeref,
-            &w.pag,
-            &w.info,
-            engine.as_mut(),
-            PERF_BATCHES,
-        );
-        let batch_ms: Vec<f64> = batches
-            .iter()
-            .map(|b| b.report.elapsed.as_secs_f64() * 1e3)
-            .collect();
-        let batch_queries: Vec<usize> = batches.iter().map(|b| b.report.queries).collect();
-        total_queries += batch_queries.iter().sum::<usize>();
-        total_secs += batch_ms.iter().sum::<f64>() / 1e3;
-        dynsum_batches.push(BatchPerf {
-            benchmark: w.name.clone(),
-            batch_ms,
-            batch_queries,
-        });
-    }
-    let dynsum_batch_throughput_qps = if total_secs > 0.0 {
-        total_queries as f64 / total_secs
-    } else {
-        0.0
+    // The reference every series is checked against: per-query
+    // fingerprints of a cache-free DYNSUM session queried in order — it
+    // shares no cache code with the path under test.
+    let uncached = EngineConfig {
+        cache_summaries: false,
+        ..config
     };
-
-    // The Session thread-scaling series, against per-query fingerprints
-    // from the sequential DemandPointsTo path (one legacy DynSum engine
-    // per stream, queries in order, cache warm within the stream).
     let baseline: Vec<Vec<ResultFingerprint>> = workloads
         .iter()
         .map(|w| {
-            let mut engine = DynSum::with_config(&w.pag, config);
-            queries_for(ClientKind::NullDeref, &w.info)
+            let vars: Vec<dynsum_pag::VarId> = queries_for(ClientKind::NullDeref, &w.info)
                 .iter()
-                .map(|q| fingerprint(&engine.points_to(q.var)))
+                .map(|q| q.var)
+                .collect();
+            Session::with_config(&w.pag, EngineKind::DynSum, uncached)
+                .run_batch_vars(&vars, 1)
+                .iter()
+                .map(fingerprint)
                 .collect()
         })
         .collect();
@@ -444,77 +402,8 @@ pub fn perf_report_with_threads(
             0.0
         };
     }
-    // Per-batch overhead of the session path vs the legacy persistent
-    // engine, both at 1 worker over the same batched streams. Measured
-    // as a paired comparison: five rounds, each producing one
-    // legacy/session throughput ratio from back-to-back runs, with the
-    // in-round order alternating (a drifting/throttling host slows
-    // whichever side runs later, and alternation flips that bias's
-    // sign); the median round ratio is the recorded figure, robust to
-    // both drift and one-off scheduler spikes.
-    let measure_legacy = || {
-        let mut queries_n = 0usize;
-        let mut secs = 0.0f64;
-        for w in &workloads {
-            let mut engine = DynSum::with_config(&w.pag, config);
-            for batch in dynsum_clients::split_batches(
-                queries_for(ClientKind::NullDeref, &w.info),
-                PERF_BATCHES,
-            ) {
-                let started = Instant::now();
-                for q in &batch {
-                    engine.points_to(q.var);
-                }
-                secs += started.elapsed().as_secs_f64();
-                queries_n += batch.len();
-            }
-        }
-        if secs > 0.0 {
-            queries_n as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    let measure_session = || {
-        let mut queries_n = 0usize;
-        let mut secs = 0.0f64;
-        for w in &workloads {
-            let mut session = Session::with_config(&w.pag, dynsum_core::EngineKind::DynSum, config);
-            for batch in dynsum_clients::split_batches(
-                queries_for(ClientKind::NullDeref, &w.info),
-                PERF_BATCHES,
-            ) {
-                let sq: Vec<SessionQuery<'_>> =
-                    batch.iter().map(|q| SessionQuery::new(q.var)).collect();
-                let started = Instant::now();
-                session.run_batch(&sq, 1);
-                secs += started.elapsed().as_secs_f64();
-                queries_n += batch.len();
-            }
-        }
-        if secs > 0.0 {
-            queries_n as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    let mut round_ratios = Vec::with_capacity(5);
-    for round in 0..5 {
-        let (legacy_qps, session_qps) = if round % 2 == 0 {
-            let l = measure_legacy();
-            (l, measure_session())
-        } else {
-            let s = measure_session();
-            (measure_legacy(), s)
-        };
-        if legacy_qps > 0.0 && session_qps > 0.0 {
-            round_ratios.push(legacy_qps / session_qps);
-        }
-    }
-    round_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let run_batch_overhead_vs_legacy_pct = round_ratios
-        .get(round_ratios.len() / 2)
-        .map_or(0.0, |median| (median - 1.0) * 100.0);
+    // The 1-thread point doubles as the headline batch throughput.
+    let dynsum_batch_throughput_qps = base_qps;
 
     // The cache-pressure sweep: uncapped first (its natural cache size
     // anchors the swept caps), then caps at 1/2, 1/8 and 0 of it —
@@ -561,12 +450,10 @@ pub fn perf_report_with_threads(
         benchmarks: workloads.iter().map(|w| w.name.clone()).collect(),
         host_parallelism: dynsum_cfl::sync::thread::available_parallelism().map_or(1, |n| n.get()),
         engines,
-        dynsum_batches,
         dynsum_batch_throughput_qps,
         session_scaling,
         cache_pressure,
         warm_start,
-        run_batch_overhead_vs_legacy_pct,
         service,
     }
 }
@@ -588,7 +475,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// `clients_n - 1` competitors interleave.
 fn service_point(
     workloads: &[dynsum_workloads::Workload],
-    config: dynsum_core::EngineConfig,
+    config: EngineConfig,
     clients_n: usize,
 ) -> ServicePerf {
     use dynsum_service::{json, json::Json, Daemon, ServedWorkload, ServiceConfig};
@@ -596,13 +483,6 @@ fn service_point(
 
     /// Closed-loop queries each client issues (streams cycle if short).
     const QUERIES_PER_CLIENT: usize = 200;
-
-    // The daemon forces deterministic reuse; the reference sessions must
-    // run under identical semantics for byte-comparison to be fair.
-    let config = dynsum_core::EngineConfig {
-        deterministic_reuse: true,
-        ..config
-    };
 
     // Per-workload reference: variable -> clean-session fingerprint.
     let reference: Vec<HashMap<dynsum_pag::VarId, u64>> = workloads
@@ -614,7 +494,7 @@ fn service_point(
                 .collect();
             vars.sort_unstable();
             vars.dedup();
-            let mut session = Session::with_config(&w.pag, dynsum_core::EngineKind::DynSum, config);
+            let mut session = Session::with_config(&w.pag, EngineKind::DynSum, config);
             let results = session.run_batch_vars(&vars, 1);
             vars.iter()
                 .zip(&results)
@@ -775,14 +655,13 @@ fn median(mut samples: Vec<f64>) -> f64 {
 
 /// Measures one benchmark's cold-vs-warm first batch: five alternating
 /// paired rounds (robust to host throttling drift), medians recorded,
-/// every result — cold and warm — checked against the sequential
-/// baseline fingerprints.
+/// every result — cold and warm — checked against the cache-free
+/// reference fingerprints.
 fn warm_start_point(
     w: &dynsum_workloads::Workload,
-    config: dynsum_core::EngineConfig,
+    config: EngineConfig,
     baseline: &[ResultFingerprint],
 ) -> WarmStartPerf {
-    use dynsum_core::EngineKind;
     let stream = queries_for(ClientKind::NullDeref, &w.info);
     let first_batch: Vec<SessionQuery<'_>> =
         dynsum_clients::split_batches(stream.clone(), PERF_BATCHES)
@@ -900,14 +779,14 @@ fn warm_start_point(
 
 /// Runs the batched NullDeref streams on a 1-thread session under one
 /// `max_cached_summaries` setting, checking every query against the
-/// sequential baseline fingerprints.
+/// cache-free reference fingerprints.
 fn cache_pressure_point(
     workloads: &[dynsum_workloads::Workload],
-    config: dynsum_core::EngineConfig,
+    config: EngineConfig,
     baseline: &[Vec<ResultFingerprint>],
     cap: Option<usize>,
 ) -> CachePressurePerf {
-    let config = dynsum_core::EngineConfig {
+    let config = EngineConfig {
         max_cached_summaries: cap,
         ..config
     };
@@ -919,7 +798,7 @@ fn cache_pressure_point(
     let mut evictions = 0u64;
     let mut final_summaries = 0usize;
     for (wi, w) in workloads.iter().enumerate() {
-        let mut session = Session::with_config(&w.pag, dynsum_core::EngineKind::DynSum, config);
+        let mut session = Session::with_config(&w.pag, EngineKind::DynSum, config);
         let stream = queries_for(ClientKind::NullDeref, &w.info);
         let mut qi = 0usize;
         for batch in dynsum_clients::split_batches(stream, PERF_BATCHES) {
@@ -1031,24 +910,6 @@ pub fn render_perf_json(r: &PerfReport) -> String {
         });
     }
     out.push_str("  ],\n");
-    out.push_str("  \"dynsum_batches\": [\n");
-    for (i, b) in r.dynsum_batches.iter().enumerate() {
-        let ms: Vec<String> = b.batch_ms.iter().map(|&m| json_f64(m)).collect();
-        let qs: Vec<String> = b.batch_queries.iter().map(|q| q.to_string()).collect();
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"benchmark\": {},\n",
-            json_str(&b.benchmark)
-        ));
-        out.push_str(&format!("      \"batch_ms\": [{}],\n", ms.join(", ")));
-        out.push_str(&format!("      \"batch_queries\": [{}]\n", qs.join(", ")));
-        out.push_str(if i + 1 == r.dynsum_batches.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"dynsum_batch_throughput_qps\": {},\n",
         json_f64(r.dynsum_batch_throughput_qps)
@@ -1075,10 +936,6 @@ pub fn render_perf_json(r: &PerfReport) -> String {
         });
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"run_batch_1thread_overhead_vs_legacy_pct\": {},\n",
-        json_f64(r.run_batch_overhead_vs_legacy_pct)
-    ));
     out.push_str("  \"cache_pressure\": [\n");
     for (i, p) in r.cache_pressure.iter().enumerate() {
         out.push_str("    {\n");
@@ -1190,7 +1047,6 @@ mod tests {
         let r = perf_report("custom", &opts);
         assert_eq!(r.engines.len(), 4);
         assert_eq!(r.benchmarks, vec!["luindex"]);
-        assert_eq!(r.dynsum_batches.len(), 1);
         for e in &r.engines {
             assert!(e.queries > 0, "{}: no queries ran", e.engine);
             assert!(e.edges_traversed > 0, "{}: no work recorded", e.engine);
@@ -1233,7 +1089,6 @@ mod tests {
             r.cache_pressure.iter().any(|p| p.evictions > 0),
             "the tight cap points must actually evict"
         );
-        assert!(r.run_batch_overhead_vs_legacy_pct.is_finite());
 
         // The warm-restart series: one point per benchmark, snapshot
         // intact, restore complete, and — the snapshot contract — cold
@@ -1284,7 +1139,6 @@ mod tests {
         assert!(json.contains("\"dynsum_batch_throughput_qps\""));
         assert!(json.contains("\"cache_hit_rate\""));
         assert!(json.contains("\"cache_pressure\""));
-        assert!(json.contains("\"run_batch_1thread_overhead_vs_legacy_pct\""));
         assert!(json.contains("\"cap\": null"), "uncapped point recorded");
         // Brackets balance (cheap well-formedness check without a parser).
         for (open, close) in [('{', '}'), ('[', ']')] {

@@ -1,5 +1,4 @@
-//! Query batching — the experimental setup behind Figures 4 and 5, and
-//! the parallel batch runner built on the [`Session`] API.
+//! Query batching — the experimental setup behind Figures 4 and 5.
 //!
 //! §5.3: *"we divide the sequence of queries issued by a client into 10
 //! batches. If a client has `n_q` queries, then each of the first nine
@@ -7,21 +6,14 @@
 //! DYNSUM's summary cache persists across batches, so later batches get
 //! cheaper; the engines without cross-query memorization stay flat.
 //!
-//! [`run_batches`] drives a legacy mutable engine sequentially;
-//! [`run_batches_parallel`] drives a shared [`Session`], fanning each
-//! batch across worker threads with the summary shards merged between
-//! batches — same verdicts and points-to sets, one wall-clock divided by
-//! the thread count.
+//! [`run_batches`] drives one [`Session`], fanning each batch across
+//! worker threads with the summary shards merged between batches — the
+//! same verdicts and points-to sets at every thread count.
 
-use std::time::Instant;
+use dynsum_core::Session;
+use dynsum_pag::ProgramInfo;
 
-use dynsum_cfl::PointsToSet;
-use dynsum_core::{DemandPointsTo, Session, SessionQuery};
-use dynsum_pag::{Pag, ProgramInfo};
-
-use crate::client::{
-    queries_for, run_queries, site_satisfied, verdict, ClientKind, Query, Verdict,
-};
+use crate::client::{queries_for, run_queries, ClientKind, Query};
 use crate::report::ClientReport;
 
 /// One batch's outcome, plus the cumulative engine summary count after
@@ -58,35 +50,13 @@ pub fn split_batches(queries: Vec<Query>, n: usize) -> Vec<Vec<Query>> {
     out
 }
 
-/// Runs a client's queries in `n` batches against one engine (whose
-/// cross-query state persists), producing one report per batch.
+/// Runs a client's queries in `n` batches against one [`Session`]
+/// (whose cross-query state persists), fanning each batch across up to
+/// `threads` worker threads ([`Session::run_batch`]). Summary shards
+/// merge between batches, so `cumulative_summaries` grows batch by
+/// batch; verdicts and points-to sets are identical at every thread
+/// count.
 pub fn run_batches(
-    kind: ClientKind,
-    pag: &Pag,
-    info: &ProgramInfo,
-    engine: &mut dyn DemandPointsTo,
-    n: usize,
-) -> Vec<BatchReport> {
-    let batches = split_batches(queries_for(kind, info), n);
-    let mut out = Vec::with_capacity(batches.len());
-    for (index, batch) in batches.into_iter().enumerate() {
-        let report = run_queries(kind, pag, &batch, engine);
-        out.push(BatchReport {
-            index,
-            cumulative_summaries: engine.summary_count(),
-            report,
-        });
-    }
-    out
-}
-
-/// Runs a client's queries in `n` batches against a shared [`Session`],
-/// fanning each batch across up to `threads` worker threads
-/// ([`Session::run_batch`]). Summary shards merge between batches, so
-/// `cumulative_summaries` grows exactly as in the sequential harness —
-/// and verdicts and points-to sets are byte-identical to it at any
-/// thread count.
-pub fn run_batches_parallel(
     kind: ClientKind,
     info: &ProgramInfo,
     session: &mut Session<'_>,
@@ -96,7 +66,7 @@ pub fn run_batches_parallel(
     let batches = split_batches(queries_for(kind, info), n);
     let mut out = Vec::with_capacity(batches.len());
     for (index, batch) in batches.into_iter().enumerate() {
-        let report = run_queries_parallel(kind, &batch, session, threads);
+        let report = run_queries(kind, &batch, session, threads);
         out.push(BatchReport {
             index,
             cumulative_summaries: session.summary_count(),
@@ -106,54 +76,10 @@ pub fn run_batches_parallel(
     out
 }
 
-/// Runs one explicit query list through [`Session::run_batch`],
-/// aggregating verdicts and work counters like
-/// [`run_queries`](crate::client::run_queries) does sequentially.
-fn run_queries_parallel(
-    kind: ClientKind,
-    queries: &[Query],
-    session: &mut Session<'_>,
-    threads: usize,
-) -> ClientReport {
-    // The graph comes from the session itself — sites are always judged
-    // against the PAG the queries actually ran on.
-    let pag = session.pag();
-    let mut report = ClientReport::new(kind, session.engine().name());
-    // Each query gets its own `Sync` predicate; one reference per query
-    // crosses the worker threads.
-    type Check<'a> = Box<dyn Fn(&PointsToSet) -> bool + Sync + 'a>;
-    let checks: Vec<Check<'_>> = queries
-        .iter()
-        .map(|q| {
-            let site = q.site.clone();
-            Box::new(move |pts: &PointsToSet| site_satisfied(pag, &site, pts)) as Check<'_>
-        })
-        .collect();
-    let batch: Vec<SessionQuery<'_>> = queries
-        .iter()
-        .zip(&checks)
-        .map(|(q, check)| SessionQuery::with_check(q.var, &**check))
-        .collect();
-    let started = Instant::now();
-    let results = session.run_batch(&batch, threads);
-    report.elapsed = started.elapsed();
-    for (q, result) in queries.iter().zip(&results) {
-        report.stats.absorb(&result.stats);
-        match verdict(pag, q, result) {
-            Verdict::Proven => report.proven += 1,
-            Verdict::Refuted => report.refuted += 1,
-            Verdict::Unresolved => report.unresolved += 1,
-        }
-        report.queries += 1;
-    }
-    report.summaries = session.summary_count();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynsum_core::DynSum;
+    use dynsum_core::EngineKind;
     use dynsum_frontend::compile;
     use dynsum_pag::VarId;
 
@@ -188,7 +114,6 @@ mod tests {
 
     #[test]
     fn parallel_batches_match_sequential_engine_exactly() {
-        use dynsum_core::{EngineKind, Session};
         let src = r#"
             class Box { Object v; void put(Object x) { this.v = x; } Object take() { return this.v; } }
             class Main {
@@ -202,13 +127,18 @@ mod tests {
         "#;
         let c = compile(src).unwrap();
         for kind in [EngineKind::DynSum, EngineKind::RefinePts] {
-            let mut engine = kind.build(&c.pag, Default::default());
-            let sequential =
-                run_batches(ClientKind::NullDeref, &c.pag, &c.info, engine.as_mut(), 3);
-            for threads in [1, 2, 4] {
+            let mut sequential_session = Session::new(&c.pag, kind);
+            let sequential = run_batches(
+                ClientKind::NullDeref,
+                &c.info,
+                &mut sequential_session,
+                3,
+                1,
+            );
+            for threads in [2, 4] {
                 let mut session = Session::new(&c.pag, kind);
                 let parallel =
-                    run_batches_parallel(ClientKind::NullDeref, &c.info, &mut session, 3, threads);
+                    run_batches(ClientKind::NullDeref, &c.info, &mut session, 3, threads);
                 assert_eq!(parallel.len(), sequential.len());
                 for (p, s) in parallel.iter().zip(&sequential) {
                     assert_eq!(
@@ -218,6 +148,10 @@ mod tests {
                         p.index
                     );
                     assert_eq!(p.report.queries, s.report.queries);
+                    assert_eq!(
+                        p.report.stats.edges_traversed,
+                        s.report.stats.edges_traversed
+                    );
                     assert_eq!(p.cumulative_summaries, s.cumulative_summaries);
                 }
             }
@@ -237,8 +171,8 @@ mod tests {
             }
         "#;
         let c = compile(src).unwrap();
-        let mut engine = DynSum::new(&c.pag);
-        let reports = run_batches(ClientKind::NullDeref, &c.pag, &c.info, &mut engine, 3);
+        let mut session = Session::new(&c.pag, EngineKind::DynSum);
+        let reports = run_batches(ClientKind::NullDeref, &c.info, &mut session, 3, 1);
         assert!(!reports.is_empty());
         let total: usize = reports.iter().map(|b| b.report.queries).sum();
         assert_eq!(total, c.info.derefs.len());

@@ -1,7 +1,9 @@
 //! Query generation and verdict logic.
 
+use std::time::Instant;
+
 use dynsum_cfl::PointsToSet;
-use dynsum_core::DemandPointsTo;
+use dynsum_core::{Session, SessionQuery};
 use dynsum_pag::{ClassId, MethodId, Pag, ProgramInfo, VarId};
 
 use crate::report::ClientReport;
@@ -157,48 +159,66 @@ pub fn verdict(pag: &Pag, q: &Query, result: &dynsum_cfl::QueryResult) -> Verdic
     }
 }
 
-/// Runs a whole client over its query stream with the given engine,
-/// aggregating verdicts, work counters and wall-clock time.
+/// Runs a whole client over its query stream on `session`, fanning it
+/// across up to `threads` worker threads ([`Session::run_batch`]), and
+/// aggregates verdicts, work counters and wall-clock time. Verdicts and
+/// counters are identical at every thread count.
 pub fn run_client(
     kind: ClientKind,
-    pag: &Pag,
     info: &ProgramInfo,
-    engine: &mut dyn DemandPointsTo,
+    session: &mut Session<'_>,
+    threads: usize,
 ) -> ClientReport {
-    let queries = queries_for(kind, info);
-    run_queries(kind, pag, &queries, engine)
+    run_queries(kind, &queries_for(kind, info), session, threads)
 }
 
-/// Runs an explicit query list (used by the batching harness).
+/// Runs one explicit query list as one [`Session::run_batch`] call (used
+/// by the batching harness too).
 pub(crate) fn run_queries(
     kind: ClientKind,
-    pag: &Pag,
     queries: &[Query],
-    engine: &mut dyn DemandPointsTo,
+    session: &mut Session<'_>,
+    threads: usize,
 ) -> ClientReport {
-    let mut report = ClientReport::new(kind, engine.name());
-    let started = std::time::Instant::now();
-    for q in queries {
-        let site = q.site.clone();
-        let check = move |pts: &PointsToSet| site_satisfied(pag, &site, pts);
-        let result = engine.query(q.var, &check);
+    // The graph comes from the session itself — sites are always judged
+    // against the PAG the queries actually ran on.
+    let pag = session.pag();
+    let mut report = ClientReport::new(kind, session.engine().name());
+    // Each query gets its own `Sync` predicate; one reference per query
+    // crosses the worker threads.
+    type Check<'a> = Box<dyn Fn(&PointsToSet) -> bool + Sync + 'a>;
+    let checks: Vec<Check<'_>> = queries
+        .iter()
+        .map(|q| {
+            let site = q.site.clone();
+            Box::new(move |pts: &PointsToSet| site_satisfied(pag, &site, pts)) as Check<'_>
+        })
+        .collect();
+    let batch: Vec<SessionQuery<'_>> = queries
+        .iter()
+        .zip(&checks)
+        .map(|(q, check)| SessionQuery::with_check(q.var, &**check))
+        .collect();
+    let started = Instant::now();
+    let results = session.run_batch(&batch, threads);
+    report.elapsed = started.elapsed();
+    for (q, result) in queries.iter().zip(&results) {
         report.stats.absorb(&result.stats);
-        match verdict(pag, q, &result) {
+        match verdict(pag, q, result) {
             Verdict::Proven => report.proven += 1,
             Verdict::Refuted => report.refuted += 1,
             Verdict::Unresolved => report.unresolved += 1,
         }
         report.queries += 1;
     }
-    report.elapsed = started.elapsed();
-    report.summaries = engine.summary_count();
+    report.summaries = session.summary_count();
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynsum_core::{DynSum, NoRefine, RefinePts};
+    use dynsum_core::EngineKind;
     use dynsum_frontend::compile;
 
     const PROGRAM: &str = r#"
@@ -228,8 +248,8 @@ mod tests {
     #[test]
     fn safecast_verdicts() {
         let c = compile(PROGRAM).unwrap();
-        let mut engine = DynSum::new(&c.pag);
-        let report = run_client(ClientKind::SafeCast, &c.pag, &c.info, &mut engine);
+        let mut engine = Session::new(&c.pag, EngineKind::DynSum);
+        let report = run_client(ClientKind::SafeCast, &c.info, &mut engine, 1);
         assert_eq!(report.queries, 3);
         assert_eq!(report.proven, 2, "{report:?}");
         assert_eq!(report.refuted, 1);
@@ -239,8 +259,8 @@ mod tests {
     #[test]
     fn nullderef_flags_null_base() {
         let c = compile(PROGRAM).unwrap();
-        let mut engine = DynSum::new(&c.pag);
-        let report = run_client(ClientKind::NullDeref, &c.pag, &c.info, &mut engine);
+        let mut engine = Session::new(&c.pag, EngineKind::DynSum);
+        let report = run_client(ClientKind::NullDeref, &c.info, &mut engine, 1);
         assert!(report.queries >= 3);
         assert!(report.refuted >= 1, "the null receiver must be flagged");
         assert!(report.proven >= 1);
@@ -257,8 +277,8 @@ mod tests {
             }
         "#;
         let c = compile(src).unwrap();
-        let mut engine = DynSum::new(&c.pag);
-        let report = run_client(ClientKind::FactoryM, &c.pag, &c.info, &mut engine);
+        let mut engine = Session::new(&c.pag, EngineKind::DynSum);
+        let report = run_client(ClientKind::FactoryM, &c.info, &mut engine, 1);
         // fresh() proven; cached() has an empty/foreign points-to set:
         // empty sets satisfy "all objects fresh" vacuously, so gate on
         // the concrete counts instead.
@@ -270,12 +290,12 @@ mod tests {
     fn engines_agree_on_verdicts() {
         let c = compile(PROGRAM).unwrap();
         for kind in ClientKind::ALL {
-            let mut dynsum = DynSum::new(&c.pag);
-            let mut norefine = NoRefine::new(&c.pag);
-            let mut refinepts = RefinePts::new(&c.pag);
-            let a = run_client(kind, &c.pag, &c.info, &mut dynsum);
-            let b = run_client(kind, &c.pag, &c.info, &mut norefine);
-            let r = run_client(kind, &c.pag, &c.info, &mut refinepts);
+            let mut dynsum = Session::new(&c.pag, EngineKind::DynSum);
+            let mut norefine = Session::new(&c.pag, EngineKind::NoRefine);
+            let mut refinepts = Session::new(&c.pag, EngineKind::RefinePts);
+            let a = run_client(kind, &c.info, &mut dynsum, 1);
+            let b = run_client(kind, &c.info, &mut norefine, 1);
+            let r = run_client(kind, &c.info, &mut refinepts, 1);
             assert_eq!((a.proven, a.refuted), (b.proven, b.refuted), "{kind}");
             assert_eq!((a.proven, a.refuted), (r.proven, r.refuted), "{kind}");
         }
@@ -284,8 +304,8 @@ mod tests {
     #[test]
     fn refinement_stops_early_for_satisfiable_sites() {
         let c = compile(PROGRAM).unwrap();
-        let mut refinepts = RefinePts::new(&c.pag);
-        let report = run_client(ClientKind::SafeCast, &c.pag, &c.info, &mut refinepts);
+        let mut refinepts = Session::new(&c.pag, EngineKind::RefinePts);
+        let report = run_client(ClientKind::SafeCast, &c.info, &mut refinepts, 1);
         // The two provable casts need context-sensitive precision, which
         // REFINEPTS reaches only after refining; the refuted one may
         // terminate at any iteration. The counters must still match

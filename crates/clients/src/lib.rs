@@ -8,10 +8,10 @@
 //!
 //! Each client turns the frontend/generator metadata
 //! ([`ProgramInfo`](dynsum_pag::ProgramInfo)) into a stream of points-to
-//! queries, feeds them to any [`DemandPointsTo`](dynsum_core::DemandPointsTo)
-//! engine with the client's
-//! satisfaction predicate (REFINEPTS refines only as far as the client
-//! needs), and classifies every site as *proven*, *refuted* or
+//! queries, feeds them to a [`Session`](dynsum_core::Session) of any
+//! engine with the client's satisfaction predicate (REFINEPTS refines
+//! only as far as the client needs), and classifies every site as
+//! *proven*, *refuted* or
 //! *unresolved* (budget exhausted ⇒ conservative). Queries can be split
 //! into batches to reproduce the paper's Figures 4 and 5.
 
@@ -22,7 +22,7 @@ mod batch;
 mod client;
 mod report;
 
-pub use batch::{run_batches, run_batches_parallel, split_batches, BatchReport};
+pub use batch::{run_batches, split_batches, BatchReport};
 pub use client::{
     queries_for, run_client, site_satisfied, verdict, ClientKind, Query, QuerySite, Verdict,
 };

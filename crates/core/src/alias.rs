@@ -67,9 +67,8 @@ pub fn may_alias(engine: &mut dyn DemandPointsTo, v1: VarId, v2: VarId) -> Alias
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynsum::DynSum;
     use crate::engine::EngineConfig;
-    use crate::norefine::NoRefine;
+    use crate::{EngineKind, Session};
     use dynsum_pag::{Pag, PagBuilder};
 
     /// p and q share an object; r holds a different one; empty has none.
@@ -91,7 +90,7 @@ mod tests {
     #[test]
     fn shared_object_means_may() {
         let (pag, p, q, ..) = aliasing_pag();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         let a = may_alias(&mut e, p, q);
         assert_eq!(a.result, AliasResult::May);
         assert!(a.result.possible());
@@ -101,7 +100,7 @@ mod tests {
     #[test]
     fn disjoint_objects_mean_no() {
         let (pag, p, _, r, _) = aliasing_pag();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         assert_eq!(may_alias(&mut e, p, r).result, AliasResult::No);
         assert!(!AliasResult::No.possible());
     }
@@ -109,7 +108,7 @@ mod tests {
     #[test]
     fn empty_sets_do_not_alias() {
         let (pag, p, _, _, empty) = aliasing_pag();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         assert_eq!(may_alias(&mut e, p, empty).result, AliasResult::No);
         assert_eq!(may_alias(&mut e, empty, empty).result, AliasResult::No);
     }
@@ -121,7 +120,7 @@ mod tests {
             budget: 0,
             ..EngineConfig::default()
         };
-        let mut e = NoRefine::with_config(&pag, config);
+        let mut e = Session::with_config(&pag, EngineKind::NoRefine, config);
         let a = may_alias(&mut e, p, q);
         assert_eq!(a.result, AliasResult::Unknown);
         assert!(a.result.possible(), "unknown must stay conservative");
@@ -130,7 +129,7 @@ mod tests {
     #[test]
     fn alias_is_symmetric() {
         let (pag, p, q, r, _) = aliasing_pag();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         assert_eq!(
             may_alias(&mut e, p, q).result,
             may_alias(&mut e, q, p).result

@@ -41,8 +41,7 @@ impl Default for DriveScratch {
 
 /// The complete per-handle working state of the summary-driven engines
 /// (DYNSUM / STASUM): interning pools, driver worklist buffers, and PPTA
-/// scratch. Owned by the legacy engine structs and by
-/// [`Session`](crate::Session) query handles alike.
+/// scratch. Owned by [`Session`](crate::Session) query handles.
 #[derive(Debug, Default)]
 pub(crate) struct DriveParts {
     pub(crate) fields: StackPool<FieldFrame>,

@@ -25,19 +25,18 @@ use dynsum_cfl::{
 use dynsum_pag::{CallSiteId, NodeId, Pag, VarId};
 
 use crate::driver::{drive, DriveParts};
-use crate::engine::{ClientCheck, DemandPointsTo, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::ppta;
 use crate::summary::{Summary, SummaryCache};
 
 /// Runs one DYNSUM query over borrowed per-handle state.
 ///
-/// `base` is an optional **frozen** shared cache layered under the
-/// mutable `cache` shard: handle-local lookups consult the shard first,
-/// then the base; fresh summaries always land in the shard. The legacy
-/// [`DynSum`] engine passes `base: None` and its own cache as the shard;
-/// [`Session`](crate::Session) query handles pass the session cache as
-/// `base`. Keys are field-stack-pool-relative, so `parts.fields` must be
-/// the pool (or a clone of the pool) the `base` keys were interned in.
+/// `base` is the **frozen** shared session cache layered under the
+/// mutable `cache` shard of a [`QueryHandle`](crate::QueryHandle):
+/// lookups consult the base first, then the shard; fresh summaries
+/// always land in the shard. Keys are field-stack-pool-relative, so
+/// `parts.fields` must be the pool (or a clone of the pool) the `base`
+/// keys were interned in.
 ///
 /// The context pool is per-query scratch (cleared here), making the
 /// result — including raw context ids in the points-to set — a
@@ -46,7 +45,7 @@ use crate::summary::{Summary, SummaryCache};
 pub(crate) fn dynsum_query(
     pag: &Pag,
     config: &EngineConfig,
-    base: Option<&SummaryCache>,
+    base: &SummaryCache,
     cache: &mut SummaryCache,
     parts: &mut DriveParts,
     v: VarId,
@@ -81,12 +80,10 @@ pub(crate) fn dynsum_query(
             // session cache, so probing it before the (small, disjoint)
             // shard saves a hash probe on the hot path. A key is never
             // in both — shard inserts only keys that missed both.
-            if let Some(sum) = base.and_then(|b| b.get(key)).or_else(|| cache.get(key)) {
+            if let Some(sum) = base.get(key).or_else(|| cache.get(key)) {
                 cache.record_hit();
                 stats.cache_hits += 1;
-                if config.deterministic_reuse {
-                    ticket.charge_n(sum.cost)?;
-                }
+                ticket.charge_n(sum.cost)?;
                 return Ok((sum, StepKind::PptaReused));
             }
             cache.record_miss();
@@ -113,180 +110,20 @@ pub(crate) fn dynsum_query(
         &mut provider,
         trace,
     );
-    // Size-capped lifecycle: sweep the mutable cache down to the cap
-    // after every query. For the legacy engine that bounds the whole
-    // cache; for a session handle it bounds the in-flight shard (the
-    // shared cache is capped again at the absorb merge point). Safe at
-    // any cap — deterministic reuse makes outcomes cache-independent.
+    // Size-capped lifecycle: sweep the handle's in-flight shard down to
+    // the cap after every query (the shared cache is capped again at
+    // the absorb merge point). Safe at any cap — deterministic reuse
+    // makes outcomes cache-independent.
     if let Some(cap) = config.max_cached_summaries {
         cache.enforce_cap(cap);
     }
     result
 }
 
-/// The DYNSUM demand-driven points-to engine.
-///
-/// Construct once per PAG and issue any number of queries; the summary
-/// cache persists and grows across queries (that persistence is the whole
-/// point — Figures 4 and 5 of the paper measure it). For sharing one
-/// warm cache across threads, see [`Session`](crate::Session).
-///
-/// # Examples
-///
-/// ```
-/// use dynsum_core::{DemandPointsTo, DynSum};
-/// use dynsum_pag::PagBuilder;
-///
-/// let mut b = PagBuilder::new();
-/// let m = b.add_method("main", None)?;
-/// let v = b.add_local("v", m, None)?;
-/// let o = b.add_obj("o1", None, Some(m))?;
-/// b.add_new(o, v)?;
-/// let pag = b.finish();
-///
-/// let mut engine = DynSum::new(&pag);
-/// let result = engine.points_to(v);
-/// assert!(result.resolved);
-/// assert!(result.pts.contains_obj(o));
-/// # Ok::<(), dynsum_pag::BuildError>(())
-/// ```
-#[derive(Debug)]
-pub struct DynSum<'p> {
-    pag: &'p Pag,
-    parts: DriveParts,
-    cache: SummaryCache,
-    config: EngineConfig,
-    control: QueryControl,
-    tracing: bool,
-    last_trace: Option<Trace>,
-}
-
-impl<'p> DynSum<'p> {
-    /// Creates an engine with the default configuration (75k budget).
-    pub fn new(pag: &'p Pag) -> Self {
-        Self::with_config(pag, EngineConfig::default())
-    }
-
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(pag: &'p Pag, config: EngineConfig) -> Self {
-        DynSum {
-            pag,
-            parts: DriveParts::default(),
-            cache: SummaryCache::new(),
-            config,
-            control: QueryControl::default(),
-            tracing: false,
-            last_trace: None,
-        }
-    }
-
-    /// Attaches a [`QueryControl`] (cancel token / deadline) observed by
-    /// every subsequent query until replaced. The default control never
-    /// interrupts.
-    pub fn set_control(&mut self, control: QueryControl) {
-        self.control = control;
-    }
-
-    /// Enables or disables step tracing (Table 1). Tracing is off by
-    /// default and costs nothing when off.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Takes the trace recorded by the most recent query, if tracing was
-    /// enabled.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.last_trace.take()
-    }
-
-    /// The summary cache (size, hit/miss counters).
-    pub fn cache(&self) -> &SummaryCache {
-        &self.cache
-    }
-
-    /// Evicts the summaries of one method, keeping everything else.
-    ///
-    /// This is the incremental-analysis story the paper motivates for
-    /// JIT compilers and IDEs (§1, §7): when an edit invalidates a
-    /// single method body, only that method's context-independent
-    /// summaries need recomputing — summaries are keyed by node, and
-    /// local edges never cross method boundaries, so summaries of
-    /// untouched methods stay valid. Returns the number of evicted
-    /// entries.
-    ///
-    /// The caller is responsible for re-creating the engine if the
-    /// *graph* object itself changed; this API models the common
-    /// IDE case where queries continue against a freshly rebuilt PAG
-    /// with identical ids for untouched methods.
-    pub fn invalidate_method(&mut self, method: dynsum_pag::MethodId) -> usize {
-        let pag = self.pag;
-        self.cache
-            .evict_where(|&(node, _, _)| pag.method_of(node) == Some(method))
-    }
-
-    /// Evicts summaries for every method in `methods` (bulk form of
-    /// [`invalidate_method`](Self::invalidate_method)).
-    pub fn invalidate_methods(&mut self, methods: &[dynsum_pag::MethodId]) -> usize {
-        let pag = self.pag;
-        self.cache
-            .evict_where(|&(node, _, _)| pag.method_of(node).is_some_and(|m| methods.contains(&m)))
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Answers `pointsTo(v, c)` for an explicit initial context given as
-    /// call-site labels from innermost caller outwards (bottom-to-top of
-    /// the paper's stack notation).
-    pub fn points_to_in(&mut self, v: VarId, ctx: &[CallSiteId]) -> QueryResult {
-        self.run(v, ctx)
-    }
-
-    fn run(&mut self, v: VarId, ctx: &[CallSiteId]) -> QueryResult {
-        let mut trace = self.tracing.then(Trace::new);
-        let result = dynsum_query(
-            self.pag,
-            &self.config,
-            None,
-            &mut self.cache,
-            &mut self.parts,
-            v,
-            ctx,
-            &self.control,
-            trace.as_mut(),
-        );
-        self.last_trace = trace;
-        result
-    }
-}
-
-impl DemandPointsTo for DynSum<'_> {
-    fn name(&self) -> &'static str {
-        "DYNSUM"
-    }
-
-    /// DYNSUM has no refinement: the client predicate is ignored and the
-    /// precise answer is computed directly (Table 2: full precision).
-    fn query(&mut self, v: VarId, _satisfied: ClientCheck<'_>) -> QueryResult {
-        self.run(v, &[])
-    }
-
-    fn summary_count(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn reset(&mut self) {
-        self.cache.clear();
-        self.parts = DriveParts::default();
-        self.last_trace = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DemandPointsTo, EngineKind, Session};
     use dynsum_pag::PagBuilder;
 
     /// id(p){return p} called from two sites with distinct objects: a
@@ -315,10 +152,14 @@ mod tests {
         (b.finish(), r1, r2, o1, o2)
     }
 
+    fn dynsum(pag: &Pag, config: EngineConfig) -> Session<'_> {
+        Session::with_config(pag, EngineKind::DynSum, config)
+    }
+
     #[test]
     fn context_sensitivity_separates_call_sites() {
         let (pag, r1, r2, o1, o2) = two_callers();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         let p1 = e.points_to(r1);
         assert!(p1.resolved);
         assert_eq!(p1.pts.objects().into_iter().collect::<Vec<_>>(), vec![o1]);
@@ -329,7 +170,7 @@ mod tests {
     #[test]
     fn second_query_reuses_summaries() {
         let (pag, r1, r2, ..) = two_callers();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         let p1 = e.points_to(r1);
         assert_eq!(p1.stats.cache_hits, 0);
         let before = e.summary_count();
@@ -349,7 +190,7 @@ mod tests {
             cache_summaries: false,
             ..EngineConfig::default()
         };
-        let mut e = DynSum::with_config(&pag, config);
+        let mut e = dynsum(&pag, config);
         e.points_to(r1);
         let p2 = e.points_to(r2);
         assert_eq!(p2.stats.cache_hits, 0);
@@ -359,7 +200,8 @@ mod tests {
     #[test]
     fn caching_never_changes_outcomes() {
         // Deterministic budget accounting: with any budget, the cached
-        // and cache-free runs agree exactly on resolution and results.
+        // and cache-free runs agree exactly on resolution and results —
+        // a starved query stays starved however warm the cache gets.
         let (pag, r1, r2, ..) = two_callers();
         for budget in [1, 2, 4, 8, 16, 64, 75_000] {
             let cached = EngineConfig {
@@ -370,8 +212,8 @@ mod tests {
                 cache_summaries: false,
                 ..cached
             };
-            let mut warm = DynSum::with_config(&pag, cached);
-            let mut cold = DynSum::with_config(&pag, uncached);
+            let mut warm = dynsum(&pag, cached);
+            let mut cold = dynsum(&pag, uncached);
             for v in [r1, r2, r1, r2, r1] {
                 let a = warm.points_to(v);
                 let b = cold.points_to(v);
@@ -384,7 +226,7 @@ mod tests {
     #[test]
     fn size_cap_bounds_the_cache_without_changing_answers() {
         let (pag, r1, r2, o1, o2) = two_callers();
-        let mut uncapped = DynSum::new(&pag);
+        let mut uncapped = Session::new(&pag, EngineKind::DynSum);
         let want1 = uncapped.points_to(r1);
         let want2 = uncapped.points_to(r2);
         let full = uncapped.summary_count();
@@ -394,7 +236,7 @@ mod tests {
                 max_cached_summaries: Some(cap),
                 ..EngineConfig::default()
             };
-            let mut e = DynSum::with_config(&pag, config);
+            let mut e = dynsum(&pag, config);
             // Interleave and repeat: eviction happens mid-stream.
             for _ in 0..3 {
                 let a = e.points_to(r1);
@@ -405,40 +247,10 @@ mod tests {
                 assert!(e.summary_count() <= cap, "cap {cap} not enforced");
             }
             if cap == 0 {
-                assert!(e.cache().evictions() > 0);
+                assert!(e.cache_stats().evictions > 0);
             }
         }
         assert!(want1.pts.contains_obj(o1) && want2.pts.contains_obj(o2));
-    }
-
-    #[test]
-    fn free_reuse_mode_restores_warm_resolution() {
-        // With deterministic accounting (the default), a budget-starved
-        // query stays starved no matter how warm the cache gets — and
-        // returns the same partial set every time. With the paper's
-        // free-reuse economics, repeating the query ratchets: partial
-        // PPTAs cached by earlier attempts are free, so it eventually
-        // fits the budget.
-        let (pag, r1, ..) = two_callers();
-        let det = EngineConfig {
-            budget: 4,
-            ..EngineConfig::default()
-        };
-        let mut e = DynSum::with_config(&pag, det);
-        let first = e.points_to(r1);
-        assert!(!first.resolved);
-        for _ in 0..10 {
-            let r = e.points_to(r1);
-            assert!(!r.resolved, "deterministic reuse never ratchets");
-            assert_eq!(r.pts, first.pts);
-        }
-        let free = EngineConfig {
-            deterministic_reuse: false,
-            ..det
-        };
-        let mut e = DynSum::with_config(&pag, free);
-        let resolved = (0..10).any(|_| e.points_to(r1).resolved);
-        assert!(resolved, "free reuse must eventually fit the budget");
     }
 
     #[test]
@@ -455,7 +267,7 @@ mod tests {
         b.add_assign(v, g).unwrap();
         b.add_assign(g, w).unwrap();
         let pag = b.finish();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         let r = e.points_to(w);
         assert!(r.resolved);
         assert!(r.pts.contains_obj(o));
@@ -468,7 +280,7 @@ mod tests {
             budget: 2,
             ..EngineConfig::default()
         };
-        let mut e = DynSum::with_config(&pag, config);
+        let mut e = dynsum(&pag, config);
         let r = e.points_to(r1);
         assert!(!r.resolved);
     }
@@ -476,34 +288,20 @@ mod tests {
     #[test]
     fn tracing_records_steps_and_reuse() {
         let (pag, r1, r2, ..) = two_callers();
-        let mut e = DynSum::new(&pag);
-        e.set_tracing(true);
-        e.points_to(r1);
-        let t1 = e.take_trace().unwrap();
+        let session = Session::new(&pag, EngineKind::DynSum);
+        let mut h = session.handle();
+        let (_, t1) = h.points_to_traced(r1);
         assert!(!t1.is_empty());
         assert_eq!(t1.reuse_count(), 0);
-        e.points_to(r2);
-        let t2 = e.take_trace().unwrap();
+        let (_, t2) = h.points_to_traced(r2);
         assert!(t2.reuse_count() > 0);
         assert!(t2.len() <= t1.len());
     }
 
     #[test]
-    fn reset_clears_cache() {
-        let (pag, r1, ..) = two_callers();
-        let mut e = DynSum::new(&pag);
-        e.points_to(r1);
-        assert!(e.summary_count() > 0);
-        e.reset();
-        assert_eq!(e.summary_count(), 0);
-        // Still answers correctly after reset.
-        assert!(e.points_to(r1).resolved);
-    }
-
-    #[test]
     fn invalidation_evicts_only_the_edited_method() {
         let (pag, r1, r2, ..) = two_callers();
-        let mut e = DynSum::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::DynSum);
         e.points_to(r1);
         e.points_to(r2);
         let before = e.summary_count();
@@ -519,7 +317,7 @@ mod tests {
         assert!(e.summary_count() >= before - evicted);
         // Invalidating an untouched method evicts nothing new for `id`.
         let main = pag.find_method("main").unwrap();
-        let evicted_main = e.invalidate_methods(&[main]);
+        let evicted_main = e.invalidate_method(main);
         assert!(evicted_main > 0, "main's summaries existed too");
     }
 
@@ -531,8 +329,8 @@ mod tests {
         let ret = pag.find_var("ret").unwrap();
         let s1 = pag.find_call_site("1").unwrap();
         let o1 = pag.find_obj("o1").unwrap();
-        let mut e = DynSum::new(&pag);
-        let r = e.points_to_in(ret, &[s1]);
+        let session = Session::new(&pag, EngineKind::DynSum);
+        let r = session.handle().points_to_in(ret, &[s1]);
         assert!(r.resolved);
         assert_eq!(
             r.pts.objects().into_iter().collect::<Vec<_>>(),

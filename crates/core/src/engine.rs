@@ -23,31 +23,16 @@ pub struct EngineConfig {
     /// the context-insensitive `L_FT`-only analysis (§3.2), which must
     /// agree exactly with the Andersen oracle.
     pub context_sensitive: bool,
-    /// Deterministic reuse accounting (DYNSUM): a summary-cache hit
-    /// charges the summary's recorded cold cost against the query budget
-    /// instead of being free, making every query's outcome a pure
-    /// function of `(pag, config, query)` — the property behind
-    /// [`Session::run_batch`](crate::Session::run_batch)'s byte-identical
-    /// parallel results.
-    ///
-    /// The price is resolution rate: queries that only fit the budget
-    /// because warm hits were free now abort over-budget exactly as they
-    /// would on a cold engine (the medium-profile perf report went from
-    /// 33 to 59 unresolved across the three clients). Set `false` to
-    /// restore the paper's free-reuse economics for single-engine
-    /// replication runs — with it off, warm results may depend on query
-    /// order and cache state, and `run_batch` results may vary with the
-    /// thread count.
-    pub deterministic_reuse: bool,
     /// Size cap on the DYNSUM summary cache: after each query (and after
     /// every [`Session::absorb`](crate::Session::absorb) merge) a clock
     /// sweep evicts entries down to this many, keeping a long-lived
     /// query stream's memory bounded. `None` (the default) never evicts.
     ///
-    /// With [`deterministic_reuse`](Self::deterministic_reuse) on,
-    /// eviction **cannot change any query's outcome** — reuse charges
-    /// cold cost, so results are cache-independent by construction; the
-    /// cap only trades hit rate (wall-clock) for memory. In a
+    /// Eviction **cannot change any query's outcome**: DYNSUM charges a
+    /// reused summary's recorded cold cost (see
+    /// [`Summary::cost`](crate::Summary::cost)), so results are
+    /// cache-independent by construction; the cap only trades hit rate
+    /// (wall-clock) for memory. In a
     /// [`Session`](crate::Session), the cap bounds the shared cache and
     /// each worker's in-flight shard separately.
     pub max_cached_summaries: Option<usize>,
@@ -72,7 +57,6 @@ impl Default for EngineConfig {
             cache_summaries: true,
             max_refinements: 32,
             context_sensitive: true,
-            deterministic_reuse: true,
             max_cached_summaries: None,
             worker_stack_bytes: 64 * 1024 * 1024,
         }
@@ -99,15 +83,14 @@ impl EngineConfig {
     /// [`max_field_depth`](Self::max_field_depth),
     /// [`max_ctx_depth`](Self::max_ctx_depth),
     /// [`cache_summaries`](Self::cache_summaries),
-    /// [`max_refinements`](Self::max_refinements),
-    /// [`context_sensitive`](Self::context_sensitive) and
-    /// [`deterministic_reuse`](Self::deterministic_reuse).
+    /// [`max_refinements`](Self::max_refinements) and
+    /// [`context_sensitive`](Self::context_sensitive).
     ///
     /// Deliberately **not** covered:
     /// [`max_cached_summaries`](Self::max_cached_summaries) and
     /// [`worker_stack_bytes`](Self::worker_stack_bytes). Neither can
     /// change any query's
-    /// outcome (eviction is outcome-free under deterministic reuse, and
+    /// outcome (eviction is outcome-free, and
     /// the stack reservation only affects spawn success), so a snapshot
     /// saved under one cap loads cleanly under another — the load path
     /// re-enforces the loader's cap.
@@ -120,7 +103,9 @@ impl EngineConfig {
         h.write_u8(u8::from(self.cache_summaries));
         h.write_u32(self.max_refinements);
         h.write_u8(u8::from(self.context_sensitive));
-        h.write_u8(u8::from(self.deterministic_reuse));
+        // The retired deterministic-reuse flag's slot, always on: keeps
+        // digests (and so existing snapshot files) byte-identical.
+        h.write_u8(1);
         h.finish()
     }
 }
@@ -164,9 +149,6 @@ pub trait DemandPointsTo {
     fn summary_count(&self) -> usize {
         0
     }
-
-    /// Drops all cross-query state, as if freshly constructed.
-    fn reset(&mut self);
 }
 
 /// Result of a context-stack operation: the successor context, or `None`
@@ -329,6 +311,22 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(ctx_push(&mut ctxs, c1, s, &pag, &config).is_err());
+    }
+
+    #[test]
+    fn semantic_digest_is_pinned() {
+        // Snapshot headers and the daemon's snapshot file names embed
+        // this digest; changing it turns every saved snapshot cold.
+        assert_eq!(
+            EngineConfig::default().semantic_digest(),
+            0xbb83_30b8_7caa_f8ee
+        );
+        let other = EngineConfig {
+            budget: 1234,
+            context_sensitive: false,
+            ..EngineConfig::default()
+        };
+        assert_eq!(other.semantic_digest(), 0x2a3a_53ec_1222_266a);
     }
 
     #[test]

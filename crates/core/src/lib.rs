@@ -4,12 +4,12 @@
 //! Summary-based Points-to Analysis* (Shang, Xie, Xue — CGO 2012) over
 //! the Pointer Assignment Graphs of [`dynsum_pag`]:
 //!
-//! | engine | paper role | memorization |
+//! | engine ([`EngineKind`]) | paper role | memorization |
 //! |--------|-----------|--------------|
-//! | [`NoRefine`] | Algorithm 1 without refinement or caching | none |
-//! | [`RefinePts`] | Algorithms 1–2 (Sridharan–Bodík PLDI'06) | within a query |
-//! | [`DynSum`] | **Algorithms 3–4 — the paper's contribution** | context-independent summaries, across queries |
-//! | [`StaSum`] | Yan et al. ISSTA'11 | all-pairs static summaries, precomputed |
+//! | [`NoRefine`](EngineKind::NoRefine) | Algorithm 1 without refinement or caching | none |
+//! | [`RefinePts`](EngineKind::RefinePts) | Algorithms 1–2 (Sridharan–Bodík PLDI'06) | within a query |
+//! | [`DynSum`](EngineKind::DynSum) | **Algorithms 3–4 — the paper's contribution** | context-independent summaries, across queries |
+//! | [`StaSum`](EngineKind::StaSum) | Yan et al. ISSTA'11 | all-pairs static summaries, precomputed |
 //!
 //! All engines answer the same question — `pointsTo(v, c)` as
 //! CFL-reachability in `L_FT ∩ R_RP` — over one shared configuration
@@ -18,9 +18,10 @@
 //! test suite verifies this on hand-written and random graphs, plus
 //! subset-soundness against the exhaustive Andersen oracle.
 //!
-//! Each engine is split into a shareable half (frozen PAG + config +
+//! Every engine runs through one front door, the [`Session`]. Each
+//! engine is split into a shareable half (frozen PAG + config +
 //! DYNSUM's summary cache / STASUM's precomputed store) and a per-thread
-//! scratch half. The [`Session`] API packages the former and hands out
+//! scratch half. A session packages the former and hands out
 //! `Send` [`QueryHandle`]s owning the latter; [`Session::run_batch`]
 //! runs query batches across threads with results byte-identical to
 //! sequential execution (deterministic budget accounting — see
@@ -37,7 +38,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dynsum_core::{DemandPointsTo, DynSum};
+//! use dynsum_core::{DemandPointsTo, EngineKind, Session};
 //! use dynsum_pag::PagBuilder;
 //!
 //! // main: v = new O; w = v;
@@ -50,8 +51,8 @@
 //! b.add_assign(v, w)?;
 //! let pag = b.finish();
 //!
-//! let mut engine = DynSum::new(&pag);
-//! let result = engine.points_to(w);
+//! let mut session = Session::new(&pag, EngineKind::DynSum);
+//! let result = session.points_to(w);
 //! assert!(result.resolved && result.pts.contains_obj(o));
 //! # Ok::<(), dynsum_pag::BuildError>(())
 //! ```
@@ -73,10 +74,7 @@ mod stasum;
 mod summary;
 
 pub use alias::{may_alias, AliasQuery, AliasResult};
-pub use dynsum::DynSum;
 pub use engine::{never_satisfied, ClientCheck, DemandPointsTo, EngineConfig};
-pub use norefine::NoRefine;
-pub use refinepts::RefinePts;
 pub use session::{
     BatchControl, EngineKind, FaultPlan, QueryHandle, Session, SessionHealth, SessionQuery,
     SummaryShard,
@@ -84,5 +82,4 @@ pub use session::{
 pub use snapshot::{
     pag_fingerprint, SnapshotLoad, SnapshotReject, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use stasum::{StaSum, StaSumOptions, StaSumStats};
 pub use summary::{CacheStats, Summary, SummaryCache, SummaryKey};

@@ -1,23 +1,34 @@
-//! REFINEPTS — refinement-based demand-driven analysis (Algorithms 1–2).
+//! REFINEPTS — refinement-based demand-driven analysis (Algorithms 1–2;
+//! Sridharan–Bodík PLDI'06, the paper's state-of-the-art baseline).
+//!
+//! Each query starts fully **field-based**: every load is paired with
+//! every store of the same field through an artificial match edge. If the
+//! client predicate is not yet satisfied, the match edges actually used
+//! (`fldsSeen`) are promoted into `fldsToRefine` and the query reruns
+//! with those loads explored field-sensitively — until the client is
+//! satisfied, no new match edges appear (the answer is then precise), or
+//! the shared per-query budget runs out (Algorithm 2).
 
-use dynsum_cfl::{CtxId, FxHashSet, PointsToSet, QueryControl, QueryResult, QueryStats, Ticket};
-use dynsum_pag::{EdgeId, Pag, VarId};
+use dynsum_cfl::{FxHashSet, PointsToSet, QueryControl, QueryResult, QueryStats, Ticket};
+use dynsum_pag::{CallSiteId, EdgeId, Pag, VarId};
 
-use crate::engine::{ClientCheck, DemandPointsTo, EngineConfig};
+use crate::engine::{ClientCheck, EngineConfig};
 use crate::search::{search, Refinement, SearchParts};
 
-/// Runs one REFINEPTS query (the refinement loop of Algorithm 2) over
-/// borrowed per-handle state. Shared by the legacy [`RefinePts`] engine
-/// and [`Session`](crate::Session) query handles.
+/// Runs one REFINEPTS query (the refinement loop of Algorithm 2) over a
+/// [`QueryHandle`](crate::QueryHandle)'s borrowed state, from the
+/// initial context `ctx`.
 pub(crate) fn refinepts_query(
     pag: &Pag,
     config: &EngineConfig,
     parts: &mut SearchParts,
     v: VarId,
+    ctx: &[CallSiteId],
     satisfied: ClientCheck<'_>,
     control: &QueryControl,
 ) -> QueryResult {
     parts.ctxs.clear();
+    let c0 = parts.ctxs.from_slice(ctx);
     let mut refined: FxHashSet<EdgeId> = FxHashSet::default();
     let mut ticket = Ticket::with_control(config.budget, control);
     let mut stats = QueryStats::default();
@@ -32,7 +43,7 @@ pub(crate) fn refinepts_query(
             config,
             Refinement::Only(&refined),
             v,
-            CtxId::EMPTY,
+            c0,
             &mut ticket,
             &mut stats,
         );
@@ -80,94 +91,15 @@ pub(crate) fn refinepts_query(
     QueryResult::over_budget(PointsToSet::new(), stats)
 }
 
-/// The REFINEPTS engine (Sridharan–Bodík PLDI'06, the paper's
-/// state-of-the-art baseline).
-///
-/// Each query starts fully **field-based**: every load is paired with
-/// every store of the same field through an artificial match edge. If the
-/// client predicate is not yet satisfied, the match edges actually used
-/// (`fldsSeen`) are promoted into `fldsToRefine` and the query reruns
-/// with those loads explored field-sensitively — until the client is
-/// satisfied, no new match edges appear (the answer is then precise), or
-/// the shared per-query budget runs out (Algorithm 2).
-///
-/// # Examples
-///
-/// ```
-/// use dynsum_core::{DemandPointsTo, RefinePts};
-/// use dynsum_pag::PagBuilder;
-///
-/// let mut b = PagBuilder::new();
-/// let m = b.add_method("main", None)?;
-/// let v = b.add_local("v", m, None)?;
-/// let o = b.add_obj("o1", None, Some(m))?;
-/// b.add_new(o, v)?;
-/// let pag = b.finish();
-/// let mut engine = RefinePts::new(&pag);
-/// assert!(engine.points_to(v).pts.contains_obj(o));
-/// # Ok::<(), dynsum_pag::BuildError>(())
-/// ```
-#[derive(Debug)]
-pub struct RefinePts<'p> {
-    pag: &'p Pag,
-    parts: SearchParts,
-    config: EngineConfig,
-    control: QueryControl,
-}
-
-impl<'p> RefinePts<'p> {
-    /// Creates an engine with the default configuration.
-    pub fn new(pag: &'p Pag) -> Self {
-        Self::with_config(pag, EngineConfig::default())
-    }
-
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(pag: &'p Pag, config: EngineConfig) -> Self {
-        RefinePts {
-            pag,
-            parts: SearchParts::default(),
-            config,
-            control: QueryControl::default(),
-        }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Attaches interruption controls (cancellation token, deadline) to
-    /// every subsequent query.
-    pub fn set_control(&mut self, control: QueryControl) {
-        self.control = control;
-    }
-}
-
-impl DemandPointsTo for RefinePts<'_> {
-    fn name(&self) -> &'static str {
-        "REFINEPTS"
-    }
-
-    fn query(&mut self, v: VarId, satisfied: ClientCheck<'_>) -> QueryResult {
-        refinepts_query(
-            self.pag,
-            &self.config,
-            &mut self.parts,
-            v,
-            satisfied,
-            &self.control,
-        )
-    }
-
-    fn reset(&mut self) {
-        self.parts = SearchParts::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DemandPointsTo, EngineKind, Session};
     use dynsum_pag::{ObjId, PagBuilder};
+
+    fn refinepts(pag: &Pag, config: EngineConfig) -> Session<'_> {
+        Session::with_config(pag, EngineKind::RefinePts, config)
+    }
 
     /// Two containers sharing a field name: field-based conflates them,
     /// refinement separates them.
@@ -197,7 +129,7 @@ mod tests {
     #[test]
     fn refines_until_precise_when_never_satisfied() {
         let (pag, y, o1, _o2) = conflating_pag();
-        let mut e = RefinePts::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::RefinePts);
         let r = e.points_to(y);
         assert!(r.resolved);
         assert_eq!(r.pts.objects().into_iter().collect::<Vec<_>>(), vec![o1]);
@@ -210,7 +142,7 @@ mod tests {
     #[test]
     fn stops_early_when_client_satisfied() {
         let (pag, y, o1, o2) = conflating_pag();
-        let mut e = RefinePts::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::RefinePts);
         // A client that tolerates the conflated answer: one iteration.
         let r = e.query(y, &|pts| pts.contains_obj(o1));
         assert!(r.resolved);
@@ -225,9 +157,9 @@ mod tests {
     fn refinement_never_loses_soundness() {
         // The refined answer is a subset of the field-based one.
         let (pag, y, ..) = conflating_pag();
-        let mut e = RefinePts::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::RefinePts);
         let precise = e.points_to(y);
-        let mut e2 = RefinePts::new(&pag);
+        let mut e2 = Session::new(&pag, EngineKind::RefinePts);
         let loose = e2.query(y, &|_| true);
         assert!(precise.pts.objects().is_subset(&loose.pts.objects()));
     }
@@ -240,7 +172,7 @@ mod tests {
         let o = b.add_obj("o", None, Some(m)).unwrap();
         b.add_new(o, v).unwrap();
         let pag = b.finish();
-        let mut e = RefinePts::new(&pag);
+        let mut e = Session::new(&pag, EngineKind::RefinePts);
         let r = e.points_to(v);
         assert_eq!(r.stats.refinement_iterations, 1);
         assert!(r.pts.contains_obj(o));
@@ -253,7 +185,7 @@ mod tests {
             budget: 6,
             ..EngineConfig::default()
         };
-        let mut e = RefinePts::with_config(&pag, config);
+        let mut e = refinepts(&pag, config);
         let r = e.points_to(y);
         assert!(!r.resolved);
         assert!(r.stats.edges_traversed <= 6);
@@ -275,9 +207,11 @@ mod tests {
         // sound partial answer.
         let (pag, y, _o1, o2) = conflating_pag();
         for fuse_at in 1..24 {
-            let mut e = RefinePts::new(&pag);
-            e.set_control(QueryControl::new().fused_after(fuse_at, Interrupt::Cancelled));
-            let r = e.points_to(y);
+            let session = Session::new(&pag, EngineKind::RefinePts);
+            let fused = QueryControl::new().fused_after(fuse_at, Interrupt::Cancelled);
+            let r = session
+                .handle()
+                .query_with(y, &crate::never_satisfied, &fused);
             if r.resolved {
                 continue; // finished under the fuse point
             }
@@ -302,7 +236,7 @@ mod tests {
             max_refinements: 1,
             ..EngineConfig::default()
         };
-        let mut e = RefinePts::with_config(&pag, config);
+        let mut e = refinepts(&pag, config);
         let r = e.points_to(y);
         assert!(
             !r.resolved,
@@ -315,7 +249,7 @@ mod tests {
         );
         // A cap that lets refinement run to the precise fixpoint still
         // resolves exactly.
-        let mut e2 = RefinePts::with_config(&pag, EngineConfig::default());
+        let mut e2 = refinepts(&pag, EngineConfig::default());
         let full = e2.points_to(y);
         assert!(full.resolved);
         assert!(r.pts.objects().is_subset(&full.pts.objects()));

@@ -75,9 +75,8 @@ pub(crate) struct SearchScratch {
 
 /// The complete per-handle working state of the search-based engines
 /// (NOREFINE / REFINEPTS): interning pools plus worklist buffers. Owned
-/// by the legacy engine structs and by [`Session`](crate::Session) query
-/// handles alike — everything shareable lives in the session, everything
-/// mutable lives here.
+/// by [`Session`](crate::Session) query handles — everything shareable
+/// lives in the session, everything mutable lives here.
 #[derive(Debug, Default)]
 pub(crate) struct SearchParts {
     pub(crate) fields: StackPool<FieldFrame>,

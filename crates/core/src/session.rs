@@ -9,9 +9,10 @@
 //! engine kind, DYNSUM's accumulated summary cache or STASUM's
 //! precomputed relative store — and [`Session::handle`] hands out
 //! lightweight [`QueryHandle`]s owning the interning pools, worklist
-//! buffers, and (for DYNSUM) a private cache *shard*. Handles implement
-//! [`DemandPointsTo`], so everything written against the legacy engines
-//! works against a handle unchanged.
+//! buffers, and (for DYNSUM) a private cache *shard*. A session is the
+//! only way to run an engine: both the session (one query per
+//! [`Session::run_batch`] call) and its handles implement
+//! [`DemandPointsTo`].
 //!
 //! [`Session::run_batch`] executes a query batch across scoped threads
 //! with a **sharded, merge-on-join** cache discipline: every worker reads
@@ -75,23 +76,23 @@ use std::time::Instant;
 
 use dynsum_cfl::{
     CancelToken, FieldFrame, FieldStackId, FxHashMap, Interrupt, Outcome, QueryControl,
-    QueryResult, StackPool,
+    QueryResult, StackPool, Trace,
 };
-use dynsum_pag::{MethodId, Pag, VarId};
+use dynsum_pag::{CallSiteId, MethodId, Pag, VarId};
 
 use crate::driver::DriveParts;
-use crate::dynsum::{dynsum_query, DynSum};
+use crate::dynsum::dynsum_query;
 use crate::engine::{never_satisfied, ClientCheck, DemandPointsTo, EngineConfig};
-use crate::norefine::{norefine_query, NoRefine};
-use crate::refinepts::{refinepts_query, RefinePts};
+use crate::norefine::norefine_query;
+use crate::refinepts::refinepts_query;
 use crate::search::SearchParts;
-use crate::stasum::{stasum_precompute, stasum_query, StaSum, StaSumOptions, StaSumShared};
+use crate::stasum::{stasum_precompute, stasum_query, StaSumShared};
 use crate::summary::{CacheStats, Summary, SummaryCache};
 
 /// The four demand-driven engines of Table 2, constructible by name.
 ///
-/// Used both to pick a [`Session`]'s engine and to build standalone
-/// [`DemandPointsTo`] boxes (the benchmark harness's historical API).
+/// Picks a [`Session`]'s engine; [`build`](Self::build) boxes a fresh
+/// session behind [`DemandPointsTo`].
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// NOREFINE baseline.
@@ -140,16 +141,11 @@ impl EngineKind {
             .find(|k| k.name().eq_ignore_ascii_case(s))
     }
 
-    /// Instantiates a fresh standalone engine over `pag`.
+    /// A fresh [`Session`] of this engine over `pag`, boxed behind
+    /// [`DemandPointsTo`] (each `query` is a one-query
+    /// [`run_batch`](Session::run_batch) on the calling thread).
     pub fn build<'p>(self, pag: &'p Pag, config: EngineConfig) -> Box<dyn DemandPointsTo + 'p> {
-        match self {
-            EngineKind::NoRefine => Box::new(NoRefine::with_config(pag, config)),
-            EngineKind::RefinePts => Box::new(RefinePts::with_config(pag, config)),
-            EngineKind::DynSum => Box::new(DynSum::with_config(pag, config)),
-            EngineKind::StaSum => {
-                Box::new(StaSum::precompute_with(pag, config, Default::default()))
-            }
-        }
+        Box::new(Session::with_config(pag, self, config))
     }
 }
 
@@ -413,9 +409,7 @@ impl<'p> Session<'p> {
         Self::with_config(pag, kind, EngineConfig::default())
     }
 
-    /// Creates a session with an explicit configuration (STASUM uses
-    /// default [`StaSumOptions`]; see
-    /// [`with_stasum_options`](Self::with_stasum_options)).
+    /// Creates a session with an explicit configuration.
     pub fn with_config(pag: &'p Pag, kind: EngineKind, config: EngineConfig) -> Self {
         let state = match kind {
             EngineKind::NoRefine => SharedState::NoRefine,
@@ -424,33 +418,13 @@ impl<'p> Session<'p> {
                 cache: SummaryCache::new(),
                 fields: StackPool::new(),
             },
-            EngineKind::StaSum => {
-                SharedState::StaSum(stasum_precompute(pag, &config, StaSumOptions::default()))
-            }
+            EngineKind::StaSum => SharedState::StaSum(stasum_precompute(pag, &config)),
         };
         Session {
             pag,
             config,
             kind,
             state,
-            epoch: 0,
-            invalidated_at: FxHashMap::default(),
-            warm: Vec::new(),
-            spawn_failures: 0,
-            stale_rejected: 0,
-            cancellations: 0,
-            deadline_trips: 0,
-            query_panics: 0,
-        }
-    }
-
-    /// Creates a STASUM session with explicit precomputation options.
-    pub fn with_stasum_options(pag: &'p Pag, config: EngineConfig, options: StaSumOptions) -> Self {
-        Session {
-            pag,
-            config,
-            kind: EngineKind::StaSum,
-            state: SharedState::StaSum(stasum_precompute(pag, &config, options)),
             epoch: 0,
             invalidated_at: FxHashMap::default(),
             warm: Vec::new(),
@@ -483,7 +457,7 @@ impl<'p> Session<'p> {
     pub fn summary_count(&self) -> usize {
         match &self.state {
             SharedState::DynSum { cache, .. } => cache.len(),
-            SharedState::StaSum(shared) => shared.stats().summaries,
+            SharedState::StaSum(shared) => shared.summaries(),
             _ => 0,
         }
     }
@@ -706,9 +680,17 @@ impl<'p> Session<'p> {
         }
     }
 
-    /// Evicts the shared summaries of one method (the incremental-edit
-    /// story — see [`DynSum::invalidate_method`]). Returns the number of
-    /// evicted entries; 0 for engines without a cache.
+    /// Evicts the shared summaries of one method, keeping everything
+    /// else. Returns the number of evicted entries; 0 for engines
+    /// without a cache.
+    ///
+    /// This is the incremental-analysis story the paper motivates for
+    /// JIT compilers and IDEs (§1, §7): when an edit invalidates a
+    /// single method body, only that method's context-independent
+    /// summaries need recomputing — summaries are keyed by node, and
+    /// local edges never cross method boundaries, so summaries of
+    /// untouched methods stay valid. The caller is responsible for
+    /// building a new session if the *graph* itself changed.
     ///
     /// Outstanding shards are fenced, not drained: the session's
     /// invalidation epoch is bumped, and [`absorb`](Self::absorb)
@@ -750,7 +732,7 @@ impl<'p> Session<'p> {
     ///
     /// A 1-thread batch runs directly on the calling thread — same
     /// checkout/merge machinery, no thread spawn — so per-batch
-    /// overhead vs the legacy engine is just the merge. If a
+    /// overhead over the bare query loop is just the merge. If a
     /// multi-thread batch's worker cannot be spawned (stack/rlimit
     /// pressure), the batch degrades to the workers that did spawn —
     /// the unclaimed queries are simply drained by fewer threads, by
@@ -759,8 +741,7 @@ impl<'p> Session<'p> {
     /// degradations.
     ///
     /// Queries on the calling thread run PPTA recursion on the caller's
-    /// stack — exactly like the legacy engines' `points_to` always has
-    /// — which is typically smaller than
+    /// stack, which is typically smaller than
     /// [`EngineConfig::worker_stack_bytes`]. Callers with unusually
     /// deep-recursion workloads who relied on the worker reservation
     /// should pass `threads >= 2` (reserved-stack workers) or raise
@@ -1099,8 +1080,7 @@ enum HandleScratch {
 ///
 /// Owns everything a query mutates — interning pools, worklist and PPTA
 /// scratch, and (DYNSUM) a private summary shard layered over the shared
-/// session cache. Implements [`DemandPointsTo`], so existing client code
-/// runs against a handle unchanged.
+/// session cache. Implements [`DemandPointsTo`].
 #[derive(Debug)]
 pub struct QueryHandle<'s, 'p> {
     session: &'s Session<'p>,
@@ -1138,30 +1118,53 @@ impl QueryHandle<'_, '_> {
         satisfied: ClientCheck<'_>,
         control: &QueryControl,
     ) -> QueryResult {
+        self.run(v, &[], satisfied, control, None)
+    }
+
+    /// Answers `pointsTo(v, c)` at full precision for an explicit
+    /// initial context, given as call-site labels from innermost caller
+    /// outwards (bottom-to-top of the paper's stack notation).
+    pub fn points_to_in(&mut self, v: VarId, ctx: &[CallSiteId]) -> QueryResult {
+        self.run(v, ctx, &never_satisfied, &QueryControl::default(), None)
+    }
+
+    /// Answers `pointsTo(v, ∅)` at full precision and returns the
+    /// driver's step trace with it (Table 1). Only DYNSUM records
+    /// steps; the other engines return an empty trace.
+    pub fn points_to_traced(&mut self, v: VarId) -> (QueryResult, Trace) {
+        let mut trace = Trace::new();
+        let r = self.run(
+            v,
+            &[],
+            &never_satisfied,
+            &QueryControl::default(),
+            Some(&mut trace),
+        );
+        (r, trace)
+    }
+
+    fn run(
+        &mut self,
+        v: VarId,
+        ctx: &[CallSiteId],
+        satisfied: ClientCheck<'_>,
+        control: &QueryControl,
+        trace: Option<&mut Trace>,
+    ) -> QueryResult {
         let pag = self.session.pag;
         let config = &self.session.config;
         match (&mut self.scratch, &self.session.state) {
             (HandleScratch::NoRefine(parts), _) => {
-                norefine_query(pag, config, parts, v, &[], control)
+                norefine_query(pag, config, parts, v, ctx, control)
             }
             (HandleScratch::RefinePts(parts), _) => {
-                refinepts_query(pag, config, parts, v, satisfied, control)
+                refinepts_query(pag, config, parts, v, ctx, satisfied, control)
             }
             (HandleScratch::DynSum { parts, shard }, SharedState::DynSum { cache, .. }) => {
-                dynsum_query(
-                    pag,
-                    config,
-                    Some(cache),
-                    shard,
-                    parts,
-                    v,
-                    &[],
-                    control,
-                    None,
-                )
+                dynsum_query(pag, config, cache, shard, parts, v, ctx, control, trace)
             }
             (HandleScratch::StaSum(parts), SharedState::StaSum(shared)) => {
-                stasum_query(pag, config, shared, parts, v, &[], control)
+                stasum_query(pag, config, shared, parts, v, ctx, control)
             }
             _ => unreachable!("handle scratch always matches its session's state"),
         }
@@ -1194,11 +1197,23 @@ impl DemandPointsTo for QueryHandle<'_, '_> {
     fn summary_count(&self) -> usize {
         self.session.summary_count() + self.shard_len()
     }
+}
 
-    /// Drops the handle's private state (shard included); the session's
-    /// shared summaries are untouched.
-    fn reset(&mut self) {
-        self.scratch = self.session.new_scratch();
+impl DemandPointsTo for Session<'_> {
+    fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// A one-query [`run_batch`](Session::run_batch) on the calling
+    /// thread: its summaries merge into the session before it returns.
+    fn query(&mut self, v: VarId, satisfied: ClientCheck<'_>) -> QueryResult {
+        self.run_batch(&[SessionQuery::with_check(v, satisfied)], 1)
+            .pop()
+            .expect("one result per query")
+    }
+
+    fn summary_count(&self) -> usize {
+        Session::summary_count(self)
     }
 }
 
@@ -1247,28 +1262,15 @@ mod tests {
     }
 
     #[test]
-    fn handles_agree_with_legacy_engines_for_every_kind() {
-        let (pag, vars, ..) = two_callers();
-        for kind in EngineKind::ALL {
-            let session = Session::new(&pag, kind);
-            let mut handle = session.handle();
-            let mut legacy = kind.build(&pag, EngineConfig::default());
-            assert_eq!(handle.name(), legacy.name());
-            for &v in &vars {
-                let a = handle.points_to(v);
-                let b = legacy.points_to(v);
-                assert_eq!(a.resolved, b.resolved, "{kind} on {v:?}");
-                assert_eq!(a.pts, b.pts, "{kind} on {v:?}");
-            }
-        }
-    }
-
-    #[test]
     fn run_batch_matches_sequential_at_any_thread_count() {
         let (pag, vars, ..) = two_callers();
         let sequential: Vec<QueryResult> = {
-            let mut engine = DynSum::new(&pag);
-            vars.iter().map(|&v| engine.points_to(v)).collect()
+            let config = EngineConfig {
+                cache_summaries: false,
+                ..EngineConfig::default()
+            };
+            let mut reference = Session::with_config(&pag, EngineKind::DynSum, config);
+            vars.iter().map(|&v| reference.points_to(v)).collect()
         };
         for threads in [1, 2, 4, 7] {
             let mut session = Session::new(&pag, EngineKind::DynSum);

@@ -22,9 +22,9 @@
 //! (the incomplete-program setting), different analysis configuration,
 //! truncation, bit rot, malformed structure — degrades to a cold start
 //! ([`SnapshotLoad::Cold`]) instead of corrupting results. Loading never
-//! panics on arbitrary bytes. With [`EngineConfig::deterministic_reuse`]
-//! on (the default), a warm restore is *outcome-invisible*: every query
-//! answers byte-identically to a cold process, only faster.
+//! panics on arbitrary bytes. DYNSUM charges every reused summary its
+//! recorded cold cost, so a warm restore is *outcome-invisible*: every
+//! query answers byte-identically to a cold process, only faster.
 //!
 //! # Wire format (version 1)
 //!
@@ -147,11 +147,6 @@ pub enum SnapshotReject {
     /// The [`EngineConfig::semantic_digest`] differs: the snapshot's
     /// summaries were computed under different analysis semantics.
     ConfigMismatch,
-    /// The loading configuration has
-    /// [`EngineConfig::deterministic_reuse`] disabled. Free-reuse
-    /// economics make warm results diverge from cold ones, so a warm
-    /// restore could change query outcomes — refused by policy.
-    NonDeterministicReuse,
     /// The byte stream ended before the header/payload was complete.
     Truncated,
     /// Structural validation failed; the message names the first check
@@ -175,9 +170,6 @@ impl std::fmt::Display for SnapshotReject {
             }
             SnapshotReject::PagMismatch => f.write_str("PAG fingerprint mismatch (code changed)"),
             SnapshotReject::ConfigMismatch => f.write_str("engine-config digest mismatch"),
-            SnapshotReject::NonDeterministicReuse => {
-                f.write_str("deterministic_reuse is off: warm restore could change results")
-            }
             SnapshotReject::Truncated => f.write_str("snapshot truncated"),
             SnapshotReject::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
         }
@@ -526,8 +518,8 @@ impl<'p> Session<'p> {
     ///
     /// Acceptance requires: the exact [`SNAPSHOT_VERSION`], the caller's
     /// `kind`, a [`pag_fingerprint`] match against `pag`, an
-    /// [`EngineConfig::semantic_digest`] match against `config`,
-    /// `config.deterministic_reuse` enabled, an intact checksum, and
+    /// [`EngineConfig::semantic_digest`] match against `config`, an
+    /// intact checksum, and
     /// structural validity of every id in the payload. Restored
     /// field-stack ids are re-interned into the fresh session pool
     /// through [`Session::absorb`] — the same translation a parallel
@@ -579,9 +571,6 @@ impl<'p> Session<'p> {
         let found_kind = cur.u8()?;
         if found_kind != kind_tag(kind) {
             return Err(SnapshotReject::EngineMismatch { found: found_kind });
-        }
-        if !config.deterministic_reuse {
-            return Err(SnapshotReject::NonDeterministicReuse);
         }
         if cur.u64()? != pag_fingerprint(pag) {
             return Err(SnapshotReject::PagMismatch);
@@ -1019,15 +1008,6 @@ mod tests {
         assert_eq!(
             load_with(&bytes, EngineKind::DynSum, other_budget).reject(),
             Some(SnapshotReject::ConfigMismatch)
-        );
-
-        let free_reuse = EngineConfig {
-            deterministic_reuse: false,
-            ..EngineConfig::default()
-        };
-        assert_eq!(
-            load_with(&bytes, EngineKind::DynSum, free_reuse).reject(),
-            Some(SnapshotReject::NonDeterministicReuse)
         );
 
         assert_eq!(

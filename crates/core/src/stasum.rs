@@ -34,45 +34,18 @@ use dynsum_cfl::{
 use dynsum_pag::{AdjClass, CallSiteId, NodeId, NodeRef, ObjId, Pag, VarId};
 
 use crate::driver::{drive, DriveParts};
-use crate::engine::{ClientCheck, DemandPointsTo, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::ppta;
 use crate::summary::Summary;
 
-/// Precomputation options for STASUM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaSumOptions {
-    /// Maximum `need` depth recorded in a relative summary; configurations
-    /// needing more are dropped and the summary is marked truncated
-    /// (queries arriving with deeper stacks fall back to concrete PPTA).
-    pub max_need_depth: usize,
-    /// Edge-traversal budget per precomputed summary; exhaustion marks
-    /// the summary aborted (always falls back at query time).
-    pub node_budget: u64,
-}
+/// Maximum `need` depth recorded in a relative summary; configurations
+/// needing more are dropped and the summary is marked truncated (queries
+/// arriving with deeper stacks fall back to concrete PPTA).
+const MAX_NEED_DEPTH: usize = 8;
 
-impl Default for StaSumOptions {
-    fn default() -> Self {
-        StaSumOptions {
-            max_need_depth: 8,
-            node_budget: 200_000,
-        }
-    }
-}
-
-/// Precomputation statistics (the Figure 5 quantities).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StaSumStats {
-    /// Number of summaries computed (one per boundary node/direction).
-    pub summaries: usize,
-    /// Total object and boundary entries across all summaries.
-    pub entries: usize,
-    /// Summaries that hit the `need`-depth cap.
-    pub truncated: usize,
-    /// Summaries that exhausted the per-node budget.
-    pub aborted: usize,
-    /// Edges traversed during precomputation.
-    pub precompute_edges: u64,
-}
+/// Edge-traversal budget per precomputed summary; exhaustion marks the
+/// summary aborted (always falls back at query time).
+const NODE_BUDGET: u64 = 200_000;
 
 /// One relative boundary continuation: applies when [`need`](Self::need)
 /// is a top prefix of the arriving stack (strictly shorter than it if
@@ -107,32 +80,25 @@ struct RelSummary {
 }
 
 /// The frozen product of STASUM precomputation: the all-pairs relative
-/// summary store plus its statistics. Immutable after construction, so
-/// one copy serves any number of engines/handles concurrently.
+/// summary store. Immutable after construction, so one copy serves any
+/// number of query handles concurrently.
 #[derive(Debug)]
 pub(crate) struct StaSumShared {
     rel: FxHashMap<(NodeId, Direction), RelSummary>,
-    options: StaSumOptions,
-    stats: StaSumStats,
 }
 
 impl StaSumShared {
-    pub(crate) fn stats(&self) -> StaSumStats {
-        self.stats
+    /// The number of precomputed summaries — the Figure 5 denominator.
+    pub(crate) fn summaries(&self) -> usize {
+        self.rel.len()
     }
 }
 
 /// Runs the whole-program precomputation (every boundary node × the
 /// directions its global edges demand).
-pub(crate) fn stasum_precompute(
-    pag: &Pag,
-    config: &EngineConfig,
-    options: StaSumOptions,
-) -> StaSumShared {
+pub(crate) fn stasum_precompute(pag: &Pag, config: &EngineConfig) -> StaSumShared {
     let mut shared = StaSumShared {
         rel: FxHashMap::default(),
-        options,
-        stats: StaSumStats::default(),
     };
     // Interning pool private to the precomputation: the frozen summaries
     // carry inline arrays, so nothing outlives this pool.
@@ -166,17 +132,14 @@ fn precompute_node(
     let mut rp = RelPpta {
         pag,
         fields,
-        options: &shared.options,
         max_have_depth: config.max_field_depth,
-        budget: Budget::new(shared.options.node_budget),
+        budget: Budget::new(NODE_BUDGET),
         visited: FxHashSet::default(),
         out: RawRelSummary::default(),
-        edges: 0,
     };
     let aborted = rp
         .go(n, FieldStackId::EMPTY, FieldStackId::EMPTY, dir, false)
         .is_err();
-    let edges = rp.edges;
     let raw = rp.out;
     // Freeze: resolve the pool-relative stack ids into inline arrays.
     let summary = RelSummary {
@@ -199,21 +162,11 @@ fn precompute_node(
         truncated: raw.truncated,
         aborted,
     };
-    shared.stats.summaries += 1;
-    shared.stats.entries += summary.objs.len() + summary.boundaries.len();
-    shared.stats.precompute_edges += edges;
-    if summary.truncated {
-        shared.stats.truncated += 1;
-    }
-    if summary.aborted {
-        shared.stats.aborted += 1;
-    }
     shared.rel.insert((n, dir), summary);
 }
 
-/// Runs one STASUM query over borrowed per-handle state. Shared by the
-/// legacy [`StaSum`] engine and [`Session`](crate::Session) query
-/// handles; `shared` is the frozen precomputation product.
+/// Runs one STASUM query over a [`QueryHandle`](crate::QueryHandle)'s
+/// borrowed state; `shared` is the frozen precomputation product.
 pub(crate) fn stasum_query(
     pag: &Pag,
     config: &EngineConfig,
@@ -239,7 +192,7 @@ pub(crate) fn stasum_query(
                         s: Direction|
      -> Result<(Arc<Summary>, StepKind), Interrupt> {
         if let Some(rs) = shared.rel.get(&(u, s)) {
-            if let Some(sum) = instantiate(fields, &shared.options, rs, f) {
+            if let Some(sum) = instantiate(fields, rs, f) {
                 stats.cache_hits += 1;
                 return Ok((Arc::new(sum), StepKind::PptaReused));
             }
@@ -266,68 +219,6 @@ pub(crate) fn stasum_query(
     )
 }
 
-/// The STASUM engine.
-///
-/// # Examples
-///
-/// ```
-/// use dynsum_core::{DemandPointsTo, StaSum};
-/// use dynsum_pag::PagBuilder;
-///
-/// let mut b = PagBuilder::new();
-/// let m = b.add_method("main", None)?;
-/// let v = b.add_local("v", m, None)?;
-/// let o = b.add_obj("o1", None, Some(m))?;
-/// b.add_new(o, v)?;
-/// let pag = b.finish();
-/// let mut engine = StaSum::precompute(&pag);
-/// assert!(engine.points_to(v).pts.contains_obj(o));
-/// # Ok::<(), dynsum_pag::BuildError>(())
-/// ```
-#[derive(Debug)]
-pub struct StaSum<'p> {
-    pag: &'p Pag,
-    config: EngineConfig,
-    shared: StaSumShared,
-    parts: DriveParts,
-    control: QueryControl,
-}
-
-impl<'p> StaSum<'p> {
-    /// Precomputes all boundary summaries with default configuration.
-    pub fn precompute(pag: &'p Pag) -> Self {
-        Self::precompute_with(pag, EngineConfig::default(), StaSumOptions::default())
-    }
-
-    /// Precomputes with explicit configuration and options.
-    pub fn precompute_with(pag: &'p Pag, config: EngineConfig, options: StaSumOptions) -> Self {
-        StaSum {
-            pag,
-            config,
-            shared: stasum_precompute(pag, &config, options),
-            parts: DriveParts::default(),
-            control: QueryControl::default(),
-        }
-    }
-
-    /// Attaches a [`QueryControl`] (cancel token / deadline) observed by
-    /// every subsequent query until replaced. Precomputation is not
-    /// affected — it has already happened by construction time.
-    pub fn set_control(&mut self, control: QueryControl) {
-        self.control = control;
-    }
-
-    /// Precomputation statistics.
-    pub fn precompute_stats(&self) -> StaSumStats {
-        self.shared.stats
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-}
-
 /// Instantiates a relative summary against a concrete arriving stack.
 /// Returns `None` when the summary cannot be trusted for this stack.
 ///
@@ -336,7 +227,6 @@ impl<'p> StaSum<'p> {
 /// independent of each other and need no deterministic reuse charging.
 fn instantiate(
     fields: &mut StackPool<FieldFrame>,
-    options: &StaSumOptions,
     rel: &RelSummary,
     f: FieldStackId,
 ) -> Option<Summary> {
@@ -345,7 +235,7 @@ fn instantiate(
     }
     // A truncated summary dropped configurations whose `need` exceeded the
     // cap; those could only match stacks deeper than the cap.
-    if rel.truncated && fields.depth(f) > options.max_need_depth {
+    if rel.truncated && fields.depth(f) > MAX_NEED_DEPTH {
         return None;
     }
     let depth = fields.depth(f);
@@ -387,36 +277,6 @@ fn instantiate(
     })
 }
 
-impl DemandPointsTo for StaSum<'_> {
-    fn name(&self) -> &'static str {
-        "STASUM"
-    }
-
-    /// STASUM has no refinement; the predicate is ignored.
-    fn query(&mut self, v: VarId, _satisfied: ClientCheck<'_>) -> QueryResult {
-        stasum_query(
-            self.pag,
-            &self.config,
-            &self.shared,
-            &mut self.parts,
-            v,
-            &[],
-            &self.control,
-        )
-    }
-
-    /// The number of *precomputed* summaries — the Figure 5 denominator.
-    fn summary_count(&self) -> usize {
-        self.shared.stats.summaries
-    }
-
-    fn reset(&mut self) {
-        // Static state is kept (recomputing it is the whole cost of
-        // STASUM); only the per-query scratch is refreshed.
-        self.parts = DriveParts::default();
-    }
-}
-
 /// The raw (pool-relative) accumulator RelPpta fills before freezing.
 #[derive(Debug, Default)]
 struct RawRelSummary {
@@ -429,21 +289,13 @@ struct RawRelSummary {
 struct RelPpta<'a, 'p> {
     pag: &'p Pag,
     fields: &'a mut StackPool<FieldFrame>,
-    options: &'a StaSumOptions,
     max_have_depth: usize,
     budget: Budget,
     visited: FxHashSet<(NodeId, FieldStackId, FieldStackId, Direction, bool)>,
     out: RawRelSummary,
-    edges: u64,
 }
 
 impl RelPpta<'_, '_> {
-    fn charge(&mut self) -> Result<(), BudgetExceeded> {
-        self.budget.charge()?;
-        self.edges += 1;
-        Ok(())
-    }
-
     /// Pops field `g`, consuming from `have` first and extending `need`
     /// when `have` is exhausted. Returns the successor
     /// `(need, have, strict)` or `None` when the branch is dead /
@@ -464,7 +316,7 @@ impl RelPpta<'_, '_> {
             }
             Some(_) => None,
             None => {
-                if self.fields.depth(need) >= self.options.max_need_depth {
+                if self.fields.depth(need) >= MAX_NEED_DEPTH {
                     self.out.truncated = true;
                     None
                 } else {
@@ -511,7 +363,7 @@ impl RelPpta<'_, '_> {
     ) -> Result<(), BudgetExceeded> {
         let mut saw_new = false;
         for &a in self.pag.in_seg(u, AdjClass::New) {
-            self.charge()?;
+            self.budget.charge()?;
             if have.is_empty() {
                 // The object applies when the concrete stack is empty
                 // here, i.e. the arriving stack is exactly `need` —
@@ -526,16 +378,16 @@ impl RelPpta<'_, '_> {
             saw_new = true;
         }
         for &a in self.pag.in_seg(u, AdjClass::Assign) {
-            self.charge()?;
+            self.budget.charge()?;
             self.go(a.node, need, have, Direction::S1, strict)?;
         }
         for &a in self.pag.in_seg(u, AdjClass::Load) {
-            self.charge()?;
+            self.budget.charge()?;
             let have2 = self.rel_push(have, FieldFrame::Get(a.field()))?;
             self.go(a.node, need, have2, Direction::S1, strict)?;
         }
         if saw_new {
-            self.charge()?;
+            self.budget.charge()?;
             // The `new new̅` flip is only legal on a non-empty concrete
             // stack: with `have` empty that emptiness is unknown, so the
             // continuation carries a strictness constraint.
@@ -559,7 +411,7 @@ impl RelPpta<'_, '_> {
         strict: bool,
     ) -> Result<(), BudgetExceeded> {
         for &a in self.pag.out_seg(u, AdjClass::Assign) {
-            self.charge()?;
+            self.budget.charge()?;
             self.go(a.node, need, have, Direction::S2, strict)?;
         }
         for &a in self.pag.out_seg(u, AdjClass::Load) {
@@ -568,7 +420,7 @@ impl RelPpta<'_, '_> {
             if let Some((n2, h2, st2)) =
                 self.rel_pop(need, have, FieldFrame::Put(a.field()), strict)
             {
-                self.charge()?;
+                self.budget.charge()?;
                 self.go(a.node, n2, h2, Direction::S2, st2)?;
             }
         }
@@ -576,7 +428,7 @@ impl RelPpta<'_, '_> {
             // Same gate as concrete PPTA: a store detour is only useful
             // when some load of the field exists.
             if !self.pag.loads_of(a.field()).is_empty() {
-                self.charge()?;
+                self.budget.charge()?;
                 let have2 = self.rel_push(have, FieldFrame::Put(a.field()))?;
                 self.go(a.node, need, have2, Direction::S1, strict)?;
             }
@@ -586,7 +438,7 @@ impl RelPpta<'_, '_> {
             if let Some((n2, h2, st2)) =
                 self.rel_pop(need, have, FieldFrame::Get(a.field()), strict)
             {
-                self.charge()?;
+                self.budget.charge()?;
                 self.go(a.node, n2, h2, Direction::S1, st2)?;
             }
         }
@@ -602,6 +454,8 @@ impl RelPpta<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SharedState;
+    use crate::{DemandPointsTo, EngineKind, Session};
     use dynsum_pag::PagBuilder;
 
     /// The Vector-ish cross-method shape: callee loads through fields,
@@ -653,10 +507,21 @@ mod tests {
         (b.finish(), r1, r2, ox1, ox2)
     }
 
+    fn stasum(pag: &Pag) -> Session<'_> {
+        Session::new(pag, EngineKind::StaSum)
+    }
+
+    fn store<'s>(session: &'s Session<'_>) -> &'s StaSumShared {
+        match &session.state {
+            SharedState::StaSum(shared) => shared,
+            _ => unreachable!("a STASUM session"),
+        }
+    }
+
     #[test]
     fn answers_match_context_sensitive_expectations() {
         let (pag, r1, r2, ox1, ox2) = vector_pag();
-        let mut e = StaSum::precompute(&pag);
+        let mut e = stasum(&pag);
         let p1 = e.points_to(r1);
         assert!(p1.resolved);
         assert_eq!(p1.pts.objects().into_iter().collect::<Vec<_>>(), vec![ox1]);
@@ -667,17 +532,17 @@ mod tests {
     #[test]
     fn precomputes_summaries_for_boundary_nodes() {
         let (pag, ..) = vector_pag();
-        let e = StaSum::precompute(&pag);
-        let stats = e.precompute_stats();
-        assert!(stats.summaries > 0);
-        assert_eq!(stats.aborted, 0);
-        assert_eq!(e.summary_count(), stats.summaries);
+        let e = stasum(&pag);
+        let shared = store(&e);
+        assert!(shared.summaries() > 0);
+        assert!(shared.rel.values().all(|r| !r.aborted));
+        assert_eq!(e.summary_count(), shared.summaries());
     }
 
     #[test]
     fn queries_hit_precomputed_summaries() {
         let (pag, r1, ..) = vector_pag();
-        let mut e = StaSum::precompute(&pag);
+        let mut e = stasum(&pag);
         let p = e.points_to(r1);
         assert!(
             p.stats.cache_hits > 0,
@@ -688,7 +553,7 @@ mod tests {
     #[test]
     fn static_count_independent_of_queries() {
         let (pag, r1, r2, ..) = vector_pag();
-        let mut e = StaSum::precompute(&pag);
+        let mut e = stasum(&pag);
         let before = e.summary_count();
         e.points_to(r1);
         e.points_to(r2);
@@ -702,12 +567,12 @@ mod tests {
     #[test]
     fn relative_pop_extends_need() {
         let (pag, ..) = vector_pag();
-        let e = StaSum::precompute(&pag);
+        let e = stasum(&pag);
         // this_s has a global out edge... S1 summary exists; the store
         // base `this_s` in S2 (arriving via entry) must have consumed a
         // `need` field: find any boundary with non-empty need or objs
         // qualified by need.
-        let any_need = e.shared.rel.values().any(|r| {
+        let any_need = store(&e).rel.values().any(|r| {
             r.objs.iter().any(|(_, need)| !need.is_empty())
                 || r.boundaries.iter().any(|b| !b.need.is_empty())
         });
@@ -716,25 +581,25 @@ mod tests {
 
     #[test]
     fn frozen_summaries_are_pool_independent() {
-        // Two fresh engines over the same PAG must freeze identical
+        // Two fresh sessions over the same PAG must freeze identical
         // inline entries regardless of interning history, and a second
         // query-time pool must instantiate them identically.
         let (pag, r1, ..) = vector_pag();
-        let a = StaSum::precompute(&pag);
-        let b = StaSum::precompute(&pag);
-        for (key, ra) in &a.shared.rel {
-            let rb = &b.shared.rel[key];
+        let a = stasum(&pag);
+        let b = stasum(&pag);
+        for (key, ra) in &store(&a).rel {
+            let rb = &store(&b).rel[key];
             assert_eq!(ra.objs, rb.objs);
             assert_eq!(ra.boundaries, rb.boundaries);
         }
-        let mut e1 = a;
-        let mut e2 = b;
-        // Warm e2's pools with other queries first: raw pool ids now
-        // differ between the two engines; results must not.
+        let mut h1 = a.handle();
+        let mut h2 = b.handle();
+        // Warm h2's pools with other queries first: raw pool ids now
+        // differ between the two handles; results must not.
         let warm: Vec<VarId> = pag.vars().map(|(v, _)| v).take(4).collect();
         for v in warm {
-            e2.points_to(v);
+            h2.points_to(v);
         }
-        assert_eq!(e1.points_to(r1).pts, e2.points_to(r1).pts);
+        assert_eq!(h1.points_to(r1).pts, h2.points_to(r1).pts);
     }
 }

@@ -5,7 +5,7 @@
 //! for subsequent queries.
 
 use dynsum_cfl::Budget;
-use dynsum_core::{DemandPointsTo, EngineConfig, NoRefine};
+use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_pag::{Pag, PagBuilder, VarId};
 
 /// Deterministic mixer for the pseudo-random edge wiring (the PAG is
@@ -60,7 +60,7 @@ fn norefine_exhausts_budget_without_panicking() {
     let (pag, query) = deep_random_pag(300, 100, 3, 0xD45);
     assert!(dynsum_pag::validate(&pag).is_empty());
 
-    let mut engine = NoRefine::new(&pag);
+    let mut engine = Session::new(&pag, EngineKind::NoRefine);
     assert_eq!(engine.config().budget, Budget::DEFAULT_LIMIT);
 
     let r = engine.points_to(query);
@@ -85,8 +85,9 @@ fn norefine_exhausts_budget_without_panicking() {
 #[test]
 fn raised_budget_resolves_the_same_query() {
     let (pag, query) = deep_random_pag(300, 100, 3, 0xD45);
-    let mut engine = NoRefine::with_config(
+    let mut engine = Session::with_config(
         &pag,
+        EngineKind::NoRefine,
         EngineConfig {
             budget: 2_000_000,
             ..EngineConfig::default()

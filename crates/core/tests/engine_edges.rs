@@ -2,7 +2,7 @@
 //! chains, heap contexts, recursion transparency, and cap behavior.
 
 use dynsum_cfl::CtxId;
-use dynsum_core::{DemandPointsTo, DynSum, EngineConfig, NoRefine, RefinePts, StaSum};
+use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_pag::{MethodId, Pag, PagBuilder, VarId};
 
 /// A chain of k wrapper methods: main calls w1 calls w2 ... calls wk,
@@ -37,9 +37,9 @@ fn deep_call_chains_resolve_within_context_cap() {
     let (pag, root) = deep_chain(24);
     for engine in [true, false] {
         let r = if engine {
-            DynSum::new(&pag).points_to(root)
+            Session::new(&pag, EngineKind::DynSum).points_to(root)
         } else {
-            NoRefine::new(&pag).points_to(root)
+            Session::new(&pag, EngineKind::NoRefine).points_to(root)
         };
         assert!(r.resolved, "depth 24 must fit the default context cap");
         assert_eq!(r.pts.objects().len(), 1);
@@ -53,7 +53,7 @@ fn context_cap_aborts_conservatively() {
         max_ctx_depth: 4,
         ..EngineConfig::default()
     };
-    let r = DynSum::with_config(&pag, config).points_to(root);
+    let r = Session::with_config(&pag, EngineKind::DynSum, config).points_to(root);
     assert!(
         !r.resolved,
         "a 24-deep chain cannot fit a 4-deep context cap"
@@ -81,7 +81,7 @@ fn heap_contexts_distinguish_allocation_paths() {
     b.add_assign(r2, joint).unwrap();
     let pag = b.finish();
 
-    let mut e = DynSum::new(&pag);
+    let mut e = Session::new(&pag, EngineKind::DynSum);
     let r = e.points_to(joint);
     assert!(r.resolved);
     // One abstract object, reached under two distinct allocation
@@ -116,10 +116,10 @@ fn recursive_sites_still_find_objects() {
 
     for name in ["dynsum", "norefine", "refinepts", "stasum"] {
         let result = match name {
-            "dynsum" => DynSum::new(&pag).points_to(r),
-            "norefine" => NoRefine::new(&pag).points_to(r),
-            "refinepts" => RefinePts::new(&pag).points_to(r),
-            _ => StaSum::precompute(&pag).points_to(r),
+            "dynsum" => Session::new(&pag, EngineKind::DynSum).points_to(r),
+            "norefine" => Session::new(&pag, EngineKind::NoRefine).points_to(r),
+            "refinepts" => Session::new(&pag, EngineKind::RefinePts).points_to(r),
+            _ => Session::new(&pag, EngineKind::StaSum).points_to(r),
         };
         assert!(result.resolved, "{name} must terminate on recursion");
         assert!(result.pts.contains_obj(o), "{name} must find o");
@@ -137,10 +137,10 @@ fn querying_a_global_works() {
     b.add_assign(v, g).unwrap();
     let pag = b.finish();
     for resolved in [
-        DynSum::new(&pag).points_to(g),
-        NoRefine::new(&pag).points_to(g),
-        RefinePts::new(&pag).points_to(g),
-        StaSum::precompute(&pag).points_to(g),
+        Session::new(&pag, EngineKind::DynSum).points_to(g),
+        Session::new(&pag, EngineKind::NoRefine).points_to(g),
+        Session::new(&pag, EngineKind::RefinePts).points_to(g),
+        Session::new(&pag, EngineKind::StaSum).points_to(g),
     ] {
         assert!(resolved.resolved);
         assert!(resolved.pts.contains_obj(o));
@@ -153,7 +153,7 @@ fn unreachable_variable_has_empty_set() {
     let m = b.add_method("m", None).unwrap();
     let v = b.add_local("v", m, None).unwrap();
     let pag = b.finish();
-    let r = DynSum::new(&pag).points_to(v);
+    let r = Session::new(&pag, EngineKind::DynSum).points_to(v);
     assert!(r.resolved);
     assert!(r.pts.is_empty());
 }
@@ -164,10 +164,10 @@ fn explicit_context_filters_returns() {
     let (pag, _) = deep_chain(2);
     let ret2 = pag.find_var("ret2").unwrap();
     let c1 = pag.find_call_site("c1").unwrap();
-    let mut e = DynSum::new(&pag);
+    let session = Session::new(&pag, EngineKind::DynSum);
     // From inside w2 under context [c1], the object is still found
     // (allocation is local to w2).
-    let r = e.points_to_in(ret2, &[c1]);
+    let r = session.handle().points_to_in(ret2, &[c1]);
     assert!(r.resolved);
     assert_eq!(r.pts.objects().len(), 1);
     // The reported allocation context is the query context.
@@ -178,9 +178,9 @@ fn explicit_context_filters_returns() {
 #[test]
 fn empty_graph_engines_do_not_panic() {
     let pag = PagBuilder::new().finish();
-    let _ = StaSum::precompute(&pag);
+    let _ = Session::new(&pag, EngineKind::StaSum);
     // No variables to query; constructing engines must be safe.
-    let _ = DynSum::new(&pag);
-    let _ = NoRefine::new(&pag);
-    let _ = RefinePts::new(&pag);
+    let _ = Session::new(&pag, EngineKind::DynSum);
+    let _ = Session::new(&pag, EngineKind::NoRefine);
+    let _ = Session::new(&pag, EngineKind::RefinePts);
 }

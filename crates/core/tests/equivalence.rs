@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 
 use dynsum_andersen::Andersen;
-use dynsum_core::{DemandPointsTo, DynSum, EngineConfig, NoRefine, RefinePts, StaSum};
+use dynsum_core::{DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_pag::{ObjId, Pag, PagBuilder, VarId};
 use proptest::prelude::*;
 
@@ -203,16 +203,16 @@ proptest! {
 
         let oracle = Andersen::analyze(&pag);
         let config = test_config();
-        let mut dynsum = DynSum::with_config(&pag, config);
-        let mut dynsum_nocache = DynSum::with_config(
-            &pag,
+        let mut dynsum = Session::with_config(&pag, EngineKind::DynSum, config);
+        let mut dynsum_nocache = Session::with_config(
+            &pag, EngineKind::DynSum,
             EngineConfig { cache_summaries: false, ..config },
         );
-        let mut norefine = NoRefine::with_config(&pag, config);
-        let mut refinepts = RefinePts::with_config(&pag, config);
-        let mut stasum = StaSum::precompute_with(&pag, config, Default::default());
-        let mut ci = NoRefine::with_config(
-            &pag,
+        let mut norefine = Session::with_config(&pag, EngineKind::NoRefine, config);
+        let mut refinepts = Session::with_config(&pag, EngineKind::RefinePts, config);
+        let mut stasum = Session::with_config(&pag, EngineKind::StaSum, config);
+        let mut ci = Session::with_config(
+            &pag, EngineKind::NoRefine,
             EngineConfig { context_sensitive: false, ..config },
         );
 
@@ -256,7 +256,7 @@ proptest! {
     fn summary_reuse_only_reduces_work(spec in spec_strategy()) {
         let (pag, queries) = build(&spec);
         let config = test_config();
-        let mut warm = DynSum::with_config(&pag, config);
+        let mut warm = Session::with_config(&pag, EngineKind::DynSum, config);
         // Warm the cache with one pass.
         for &v in &queries {
             warm.points_to(v);
@@ -264,7 +264,7 @@ proptest! {
         // A second pass must never traverse more edges per query than a
         // cold engine does.
         for &v in &queries {
-            let mut cold = DynSum::with_config(&pag, config);
+            let mut cold = Session::with_config(&pag, EngineKind::DynSum, config);
             let cold_r = cold.points_to(v);
             let warm_r = warm.points_to(v);
             prop_assert!(

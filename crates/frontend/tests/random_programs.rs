@@ -195,7 +195,7 @@ proptest! {
 
         // Demand answers ⊆ Andersen on every local.
         let oracle = Andersen::analyze(&compiled.pag);
-        let mut engine = dynsum_core::DynSum::new(&compiled.pag);
+        let mut engine = dynsum_core::Session::new(&compiled.pag, dynsum_core::EngineKind::DynSum);
         use dynsum_core::DemandPointsTo;
         for (v, info) in compiled.pag.vars() {
             let r = engine.points_to(v);

@@ -63,7 +63,6 @@ pub type ClientId = u64;
 pub struct ServiceConfig {
     /// Base engine configuration; `hello` frames may override the
     /// negotiable fields ([`crate::proto::CONFIG_KEYS`]).
-    /// `deterministic_reuse` is forced on — shared sessions require it.
     pub engine_config: EngineConfig,
     /// Directory snapshots are loaded from at session creation and
     /// written to by `save_snapshot`. `None` disables both.
@@ -243,11 +242,7 @@ pub struct Daemon<'p> {
 impl<'p> Daemon<'p> {
     /// Builds a daemon serving `workloads` (the first is the default
     /// for `hello` frames that name none).
-    pub fn new(workloads: Vec<ServedWorkload<'p>>, mut config: ServiceConfig) -> Self {
-        // Shared sessions require cache-independent results; the
-        // protocol additionally rejects any hello trying to turn this
-        // off.
-        config.engine_config.deterministic_reuse = true;
+    pub fn new(workloads: Vec<ServedWorkload<'p>>, config: ServiceConfig) -> Self {
         Daemon {
             workloads,
             config,

@@ -200,9 +200,8 @@ impl Request {
     }
 }
 
-/// `EngineConfig` keys `hello` may override. `deterministic_reuse` is
-/// deliberately absent: shared sessions require it, and a frame trying
-/// to turn it off is a [`ErrorCode::BadConfig`] error.
+/// `EngineConfig` keys `hello` may override; any other key is a
+/// [`ErrorCode::BadConfig`] error.
 pub const CONFIG_KEYS: &[&str] = &[
     "budget",
     "max_field_depth",
@@ -322,13 +321,6 @@ fn parse_request_value(value: &Json) -> Result<Request, ProtoError> {
                         ProtoError::new(ErrorCode::BadConfig, "`config` must be an object")
                     })?;
                     for (k, _) in fields {
-                        if k == "deterministic_reuse" {
-                            return Err(ProtoError::new(
-                                ErrorCode::BadConfig,
-                                "deterministic_reuse cannot be negotiated: shared sessions \
-                                 require it",
-                            ));
-                        }
                         if !CONFIG_KEYS.contains(&k.as_str()) {
                             return Err(ProtoError::new(
                                 ErrorCode::BadConfig,

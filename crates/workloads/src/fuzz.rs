@@ -21,11 +21,11 @@
 //!    deterministic, so a run at budget *b* is a prefix of a run at
 //!    budget *B > b*: resolved-at-*b* implies resolved-at-*B* with the
 //!    identical set; unresolved-at-*b* implies a subset.
-//! 4. **Sequential-vs-session byte-identity** — with
-//!    `deterministic_reuse` on, [`Session::run_batch`] must return
-//!    byte-identical results ([`QueryResult::fingerprint`]) at 1, 2 and
-//!    4 threads, and identical to a sequential engine over the same
-//!    query order.
+//! 4. **Sequential-vs-session byte-identity** — [`Session::run_batch`]
+//!    must return byte-identical results ([`QueryResult::fingerprint`])
+//!    at 1, 2 and 4 threads, and identical to a cache-free DYNSUM
+//!    session queried in order (a reference that shares no cache code
+//!    with the path under test).
 //! 5. **Fault integrity** (the `fault_injection` regime) — a batch run
 //!    under a deterministic [`FaultPlan`] (injected panics, cancel and
 //!    deadline fuses, a forced spawn failure, a snapshot IO error) must
@@ -294,7 +294,7 @@ pub struct Observations {
     pub queries: Vec<QueryObservation>,
     /// Budget-consistency probes.
     pub budget: Vec<BudgetObservation>,
-    /// Sequential DYNSUM fingerprints, in query order (the reference
+    /// Cache-free DYNSUM fingerprints, in query order (the reference
     /// the batches must match).
     pub sequential: Vec<u64>,
     /// One entry per probed thread count.
@@ -492,16 +492,19 @@ pub fn observe(w: &Workload, config: &EngineConfig, opts: &ObserveOptions) -> Ob
     }
 
     // Check 4 material: DYNSUM sessions (the engine with shared mutable
-    // cache state — where thread-count nondeterminism would live).
-    let dynsum_idx = EngineKind::ALL
-        .iter()
-        .position(|k| *k == EngineKind::DynSum)
-        .unwrap();
-    let sequential: Vec<u64> = queries
-        .iter()
-        .map(|q| q.engines[dynsum_idx].fingerprint)
-        .collect();
+    // cache state — where thread-count nondeterminism would live),
+    // against a cache-free DYNSUM session queried in order.
     let batch: Vec<SessionQuery<'_>> = vars.iter().map(|&(v, _)| SessionQuery::new(v)).collect();
+    let uncached = EngineConfig {
+        cache_summaries: false,
+        ..*config
+    };
+    let sequential: Vec<u64> = Session::with_config(&w.pag, EngineKind::DynSum, uncached)
+        .run_batch(&batch, 1)
+        .iter()
+        .map(QueryResult::fingerprint)
+        .collect();
+
     let mut batches = Vec::new();
     for &threads in &opts.thread_counts {
         let mut session = Session::with_config(&w.pag, EngineKind::DynSum, *config);
@@ -1155,13 +1158,6 @@ mod tests {
         assert!(ps.iter().any(|p| !p.config.context_sensitive));
         assert!(ps.iter().any(|p| p.inject_faults));
         assert!(ps.iter().any(|p| p.exercise_service));
-        for p in &ps {
-            assert!(
-                p.config.deterministic_reuse,
-                "{}: determinism check requires deterministic_reuse",
-                p.name
-            );
-        }
     }
 
     /// A clean fault-injection fixture: same workload as [`clean_obs`],

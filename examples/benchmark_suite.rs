@@ -6,7 +6,7 @@
 
 use dynsum::EngineConfig;
 use dynsum_clients::{run_client, ClientKind};
-use dynsum_core::{DynSum, RefinePts};
+use dynsum_core::{EngineKind, Session};
 use dynsum_workloads::{generate, GeneratorOptions, PROFILES};
 
 fn main() {
@@ -28,10 +28,10 @@ fn main() {
         let mut speedups = Vec::new();
         for client in ClientKind::ALL {
             let config = EngineConfig::default();
-            let mut dynsum = DynSum::with_config(&w.pag, config);
-            let mut refine = RefinePts::with_config(&w.pag, config);
-            let rd = run_client(client, &w.pag, &w.info, &mut dynsum);
-            let rr = run_client(client, &w.pag, &w.info, &mut refine);
+            let mut dynsum = Session::with_config(&w.pag, EngineKind::DynSum, config);
+            let mut refine = Session::with_config(&w.pag, EngineKind::RefinePts, config);
+            let rd = run_client(client, &w.info, &mut dynsum, 1);
+            let rr = run_client(client, &w.info, &mut refine, 1);
             let speedup = rr.stats.edges_traversed as f64 / rd.stats.edges_traversed.max(1) as f64;
             speedups.push(format!("{speedup:.2}x"));
         }

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use dynsum::{run_batches_parallel, ClientKind, DemandPointsTo, EngineConfig, EngineKind, Session};
+use dynsum::{run_batches, ClientKind, DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions};
 
@@ -88,7 +88,7 @@ fn run_point(
     };
     let mut session = Session::with_config(&workload.pag, EngineKind::DynSum, config);
     let started = Instant::now();
-    let batches = run_batches_parallel(ClientKind::NullDeref, &workload.info, &mut session, 10, 2);
+    let batches = run_batches(ClientKind::NullDeref, &workload.info, &mut session, 10, 2);
     let secs = started.elapsed().as_secs_f64();
 
     let proven: usize = batches.iter().map(|b| b.report.proven).sum();

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example client_analysis`
 
-use dynsum::{compile, DynSum, NoRefine, RefinePts};
+use dynsum::{compile, EngineKind, Session};
 use dynsum_clients::{run_client, ClientKind};
 use dynsum_workloads::corpus;
 
@@ -13,12 +13,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let compiled = compile(program.source)?;
         println!("== {} — {} ==", program.name, program.description);
         for client in ClientKind::ALL {
-            let mut dynsum = DynSum::new(&compiled.pag);
-            let mut norefine = NoRefine::new(&compiled.pag);
-            let mut refinepts = RefinePts::new(&compiled.pag);
-            let rd = run_client(client, &compiled.pag, &compiled.info, &mut dynsum);
-            let rn = run_client(client, &compiled.pag, &compiled.info, &mut norefine);
-            let rr = run_client(client, &compiled.pag, &compiled.info, &mut refinepts);
+            let mut dynsum = Session::new(&compiled.pag, EngineKind::DynSum);
+            let mut norefine = Session::new(&compiled.pag, EngineKind::NoRefine);
+            let mut refinepts = Session::new(&compiled.pag, EngineKind::RefinePts);
+            let rd = run_client(client, &compiled.info, &mut dynsum, 1);
+            let rn = run_client(client, &compiled.info, &mut norefine, 1);
+            let rr = run_client(client, &compiled.info, &mut refinepts, 1);
             if rd.queries == 0 {
                 continue;
             }

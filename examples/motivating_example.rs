@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example motivating_example`
 
-use dynsum::{DemandPointsTo, DynSum};
+use dynsum::{EngineKind, Session};
 use dynsum_workloads::motivating_pag;
 
 fn main() {
@@ -16,12 +16,11 @@ fn main() {
         m.pag.num_edges()
     );
 
-    let mut engine = DynSum::new(&m.pag);
-    engine.set_tracing(true);
+    let session = Session::new(&m.pag, EngineKind::DynSum);
+    let mut handle = session.handle();
 
     // Query s1 (paper: 23 steps, answer {o26}).
-    let r1 = engine.points_to(m.s1);
-    let t1 = engine.take_trace().expect("tracing on");
+    let (r1, t1) = handle.points_to_traced(m.s1);
     println!(
         "\n-- pointsTo(s1): {} driver steps, {} edges --",
         t1.len(),
@@ -37,8 +36,7 @@ fn main() {
     println!("pts(s1) = {{{}}}   (paper: {{o26}})", objs1.join(", "));
 
     // Query s2 (paper: 15 steps thanks to reuse, answer {o29}).
-    let r2 = engine.points_to(m.s2);
-    let t2 = engine.take_trace().expect("tracing on");
+    let (r2, t2) = handle.points_to_traced(m.s2);
     println!(
         "\n-- pointsTo(s2): {} driver steps, {} edges, {} summaries reused --",
         t2.len(),

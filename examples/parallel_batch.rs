@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use dynsum::{run_batches_parallel, ClientKind, EngineKind, Session};
+use dynsum::{run_batches, ClientKind, EngineKind, Session};
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         // wall-clock ratio is the parallel speedup.
         let mut session = Session::new(&workload.pag, EngineKind::DynSum);
         let started = Instant::now();
-        let batches = run_batches_parallel(
+        let batches = run_batches(
             ClientKind::NullDeref,
             &workload.info,
             &mut session,

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dynsum::{compile, DemandPointsTo, DynSum};
+use dynsum::{compile, DemandPointsTo, EngineKind, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = r#"
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One DYNSUM engine per program; its summary cache persists across
     // queries (that persistence is the paper's contribution).
-    let mut engine = DynSum::new(&compiled.pag);
+    let mut engine = Session::new(&compiled.pag, EngineKind::DynSum);
 
     for var_name in ["Main.main#fromA", "Main.main#fromB"] {
         let var = compiled.pag.find_var(var_name).expect("variable exists");

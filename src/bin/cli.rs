@@ -16,13 +16,11 @@
 
 use std::fmt::Write as _;
 
-use dynsum::analysis::{may_alias, StaSum};
+use dynsum::analysis::may_alias;
 use dynsum::clients::{run_client, ClientKind};
 use dynsum::pag::text::{parse_pag, write_pag};
 use dynsum::pag::{Pag, ProgramInfo};
-use dynsum::{
-    compile_with, CallGraphMode, DemandPointsTo, DynSum, EngineConfig, NoRefine, RefinePts,
-};
+use dynsum::{compile_with, CallGraphMode, DemandPointsTo, EngineConfig, EngineKind, Session};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -151,22 +149,19 @@ fn load(path: &str, callgraph: CallGraphMode) -> Result<(Pag, ProgramInfo), Stri
     }
 }
 
-fn build_engine<'p>(
-    name: &str,
-    pag: &'p Pag,
-    budget: u64,
-) -> Result<Box<dyn DemandPointsTo + 'p>, String> {
+fn build_engine<'p>(name: &str, pag: &'p Pag, budget: u64) -> Result<Session<'p>, String> {
+    let kind = match name {
+        "dynsum" => EngineKind::DynSum,
+        "norefine" => EngineKind::NoRefine,
+        "refinepts" => EngineKind::RefinePts,
+        "stasum" => EngineKind::StaSum,
+        other => return Err(format!("unknown engine `{other}`")),
+    };
     let config = EngineConfig {
         budget,
         ..EngineConfig::default()
     };
-    Ok(match name {
-        "dynsum" => Box::new(DynSum::with_config(pag, config)),
-        "norefine" => Box::new(NoRefine::with_config(pag, config)),
-        "refinepts" => Box::new(RefinePts::with_config(pag, config)),
-        "stasum" => Box::new(StaSum::precompute_with(pag, config, Default::default())),
-        other => return Err(format!("unknown engine `{other}`")),
-    })
+    Ok(Session::with_config(pag, kind, config))
 }
 
 fn cmd_compile(args: &[String]) -> Result<String, String> {
@@ -247,7 +242,7 @@ fn cmd_alias(args: &[String]) -> Result<String, String> {
     let v2 = pag
         .find_var(&flags.vars[1])
         .ok_or_else(|| format!("no variable `{}`", flags.vars[1]))?;
-    let a = may_alias(engine.as_mut(), v1, v2);
+    let a = may_alias(&mut engine, v1, v2);
     Ok(format!(
         "alias({}, {}) = {:?} [{} edges]\n",
         flags.vars[0], flags.vars[1], a.result, a.stats.edges_traversed
@@ -264,7 +259,7 @@ fn cmd_clients(args: &[String]) -> Result<String, String> {
     let mut out = String::new();
     for client in ClientKind::ALL {
         let mut engine = build_engine(&flags.engine, &pag, flags.budget)?;
-        let report = run_client(client, &pag, &info, engine.as_mut());
+        let report = run_client(client, &info, &mut engine, 1);
         if report.queries == 0 {
             continue;
         }
@@ -284,12 +279,10 @@ fn cmd_fmt(args: &[String]) -> Result<String, String> {
 
 fn cmd_motivating() -> String {
     let m = dynsum::workloads::motivating_pag();
-    let mut engine = DynSum::new(&m.pag);
-    engine.set_tracing(true);
-    let r1 = engine.points_to(m.s1);
-    let t1 = engine.take_trace().expect("tracing on");
-    let r2 = engine.points_to(m.s2);
-    let t2 = engine.take_trace().expect("tracing on");
+    let session = Session::new(&m.pag, EngineKind::DynSum);
+    let mut handle = session.handle();
+    let (r1, t1) = handle.points_to_traced(m.s1);
+    let (r2, t2) = handle.points_to_traced(m.s2);
     let label = |r: &dynsum::QueryResult| {
         r.pts
             .objects()

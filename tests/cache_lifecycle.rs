@@ -7,8 +7,7 @@
 use dynsum::cfl::CtxId;
 use dynsum::pag::ObjId;
 use dynsum::{
-    ClientKind, DemandPointsTo, DynSum, EngineConfig, EngineKind, QueryResult, Session,
-    SessionQuery,
+    ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryResult, Session, SessionQuery,
 };
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};
@@ -39,7 +38,7 @@ proptest! {
         );
         let queries = queries_for(ClientKind::NullDeref, &w.info);
         let uncapped: Vec<_> = {
-            let mut engine = DynSum::new(&w.pag);
+            let mut engine = Session::new(&w.pag, EngineKind::DynSum);
             queries
                 .iter()
                 .map(|q| fingerprint(&engine.points_to(q.var)))
@@ -129,7 +128,7 @@ fn warm_worker_reuse_stays_deterministic() {
     );
     let queries = queries_for(ClientKind::NullDeref, &w.info);
     let sequential: Vec<_> = {
-        let mut engine = DynSum::new(&w.pag);
+        let mut engine = Session::new(&w.pag, EngineKind::DynSum);
         queries
             .iter()
             .map(|q| fingerprint(&engine.points_to(q.var)))
@@ -146,7 +145,7 @@ fn warm_worker_reuse_stays_deterministic() {
     }
     // The merged cache covers exactly the sequential key set even after
     // three rounds of warm reuse (nothing double-merged, nothing lost).
-    let mut engine = DynSum::new(&w.pag);
+    let mut engine = Session::new(&w.pag, EngineKind::DynSum);
     for q in &queries {
         engine.points_to(q.var);
     }

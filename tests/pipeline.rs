@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: source → PAG → every engine, checked
 //! against the Andersen oracle and exact expected facts.
 
-use dynsum::{compile, Andersen, DemandPointsTo, DynSum, NoRefine, RefinePts, StaSum};
+use dynsum::{compile, Andersen, DemandPointsTo, EngineConfig, EngineKind, Session};
 use dynsum_workloads::corpus;
 
 /// Resolves a variable's points-to set to sorted object labels.
@@ -19,7 +19,7 @@ fn labels(pag: &dynsum::Pag, engine: &mut dyn DemandPointsTo, var: &str) -> Vec<
 #[test]
 fn boxes_keeps_containers_apart() {
     let c = compile(corpus::BOXES.source).unwrap();
-    let mut engine = DynSum::new(&c.pag);
+    let mut engine = Session::new(&c.pag, EngineKind::DynSum);
     let from_a = labels(&c.pag, &mut engine, "Main.main#x");
     let from_b = labels(&c.pag, &mut engine, "Main.main#y");
     assert_eq!(from_a.len(), 1, "x sees only the Apple: {from_a:?}");
@@ -30,7 +30,7 @@ fn boxes_keeps_containers_apart() {
 #[test]
 fn registry_globals_flow_context_insensitively() {
     let c = compile(corpus::REGISTRY.source).unwrap();
-    let mut engine = DynSum::new(&c.pag);
+    let mut engine = Session::new(&c.pag, EngineKind::DynSum);
     let got = labels(&c.pag, &mut engine, "Main.main#got");
     assert_eq!(got.len(), 1);
 }
@@ -38,7 +38,7 @@ fn registry_globals_flow_context_insensitively() {
 #[test]
 fn shapes_dispatch_follows_receivers() {
     let c = compile(corpus::SHAPES.source).unwrap();
-    let mut engine = DynSum::new(&c.pag);
+    let mut engine = Session::new(&c.pag, EngineKind::DynSum);
     // s = new Circle(); c = s.clone2(): only Circle.clone2 runs, so the
     // result is the Circle allocation inside it.
     let cloned = labels(&c.pag, &mut engine, "Main.main#c");
@@ -54,7 +54,7 @@ fn every_corpus_query_is_oracle_sound() {
     for program in &corpus::ALL {
         let c = compile(program.source).unwrap();
         let oracle = Andersen::analyze(&c.pag);
-        let mut dynsum = DynSum::new(&c.pag);
+        let mut dynsum = Session::new(&c.pag, EngineKind::DynSum);
         for (v, info) in c.pag.vars() {
             if info.kind.is_global() {
                 continue;
@@ -79,10 +79,10 @@ fn every_corpus_query_is_oracle_sound() {
 fn all_engines_agree_on_all_corpus_variables() {
     for program in &corpus::ALL {
         let c = compile(program.source).unwrap();
-        let mut dynsum = DynSum::new(&c.pag);
-        let mut norefine = NoRefine::new(&c.pag);
-        let mut refinepts = RefinePts::new(&c.pag);
-        let mut stasum = StaSum::precompute(&c.pag);
+        let mut dynsum = Session::new(&c.pag, EngineKind::DynSum);
+        let mut norefine = Session::new(&c.pag, EngineKind::NoRefine);
+        let mut refinepts = Session::new(&c.pag, EngineKind::RefinePts);
+        let mut stasum = Session::new(&c.pag, EngineKind::StaSum);
         for (v, info) in c.pag.vars() {
             let rd = dynsum.points_to(v);
             let rn = norefine.points_to(v);
@@ -112,8 +112,8 @@ fn exported_graphs_answer_identically() {
         let text = dynsum::pag::text::write_pag(&c.pag);
         let back =
             dynsum::pag::text::parse_pag(&text).unwrap_or_else(|e| panic!("{}: {e}", program.name));
-        let mut e1 = DynSum::new(&c.pag);
-        let mut e2 = DynSum::new(&back);
+        let mut e1 = Session::new(&c.pag, EngineKind::DynSum);
+        let mut e2 = Session::new(&back, EngineKind::DynSum);
         for (v, info) in c.pag.vars() {
             let v2 = back.find_var(&info.name).expect("var survives export");
             let r1 = e1.points_to(v);
@@ -142,7 +142,11 @@ fn context_insensitive_mode_matches_andersen_on_corpus() {
     for program in &corpus::ALL {
         let c = compile(program.source).unwrap();
         let oracle = Andersen::analyze(&c.pag);
-        let mut ci = NoRefine::context_insensitive(&c.pag);
+        let config = EngineConfig {
+            context_sensitive: false,
+            ..EngineConfig::default()
+        };
+        let mut ci = Session::with_config(&c.pag, EngineKind::NoRefine, config);
         for (v, info) in c.pag.vars() {
             let r = ci.points_to(v);
             if !r.resolved {

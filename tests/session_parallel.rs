@@ -1,14 +1,16 @@
 //! Determinism properties of the `Session` API: `run_batch` at any
 //! thread count must return exactly the points-to sets and client
-//! verdicts of the sequential `DemandPointsTo` path — on generated
-//! workload graphs, for warm and budget-starved configurations alike —
-//! plus compile-time `Send`/`Sync` assertions for the session types.
+//! verdicts of a cache-free DYNSUM session queried in order (a reference
+//! that shares no cache code with the path under test) and of the
+//! per-query `DemandPointsTo` path — on generated workload graphs, for
+//! warm and budget-starved configurations alike — plus compile-time
+//! `Send`/`Sync` assertions for the session types.
 
 use dynsum::cfl::CtxId;
 use dynsum::pag::ObjId;
 use dynsum::{
-    ClientKind, DemandPointsTo, DynSum, EngineConfig, EngineKind, QueryHandle, QueryResult,
-    Session, SessionQuery, StaSum, SummaryShard,
+    ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryHandle, QueryResult, Session,
+    SessionQuery, SummaryShard,
 };
 use dynsum_clients::{queries_for, verdict};
 use dynsum_workloads::{generate, GeneratorOptions, Workload, PROFILES};
@@ -36,22 +38,27 @@ fn fingerprint(r: &QueryResult) -> (bool, Vec<(ObjId, CtxId)>) {
     (r.resolved, r.pts.iter().collect())
 }
 
-/// Runs the NullDeref stream sequentially on a legacy engine, then on
-/// `Session::run_batch` at 1/2/4 threads, asserting identical
+/// Runs the NullDeref stream on a cache-free DYNSUM session in order,
+/// then on `Session::run_batch` at 1/2/4 threads, asserting identical
 /// fingerprints and verdicts throughout.
 fn check_workload(w: &Workload, config: EngineConfig) -> usize {
     let queries = queries_for(ClientKind::NullDeref, &w.info);
-    let mut engine = DynSum::with_config(&w.pag, config);
+    let uncached = EngineConfig {
+        cache_summaries: false,
+        ..config
+    };
+    let mut reference = Session::with_config(&w.pag, EngineKind::DynSum, uncached);
     let sequential: Vec<_> = queries
         .iter()
         .map(|q| {
-            let r = engine.points_to(q.var);
+            let r = reference.points_to(q.var);
             (verdict(&w.pag, q, &r), fingerprint(&r))
         })
         .collect();
     let unresolved = sequential.iter().filter(|(_, (ok, _))| !ok).count();
 
     let batch: Vec<SessionQuery<'_>> = queries.iter().map(|q| SessionQuery::new(q.var)).collect();
+    let mut one_thread_summaries = None;
     for threads in [1usize, 2, 4] {
         let mut session = Session::with_config(&w.pag, EngineKind::DynSum, config);
         let results = session.run_batch(&batch, threads);
@@ -65,14 +72,52 @@ fn check_workload(w: &Workload, config: EngineConfig) -> usize {
             );
             assert_eq!(verdict(&w.pag, q, r), *want_verdict);
         }
+        let want = *one_thread_summaries.get_or_insert(session.summary_count());
         assert_eq!(
             session.summary_count(),
-            engine.summary_count(),
-            "{}: merged cache must cover exactly the sequential key set",
+            want,
+            "{}: merged cache must cover exactly the 1-thread key set",
             w.name
         );
     }
     unresolved
+}
+
+/// Every engine, per query through `EngineKind::build`, against
+/// `run_batch` at 1/2/4 threads; DYNSUM also against its cache-free
+/// reference.
+fn check_every_engine(w: &Workload, config: EngineConfig) {
+    let vars: Vec<_> = queries_for(ClientKind::NullDeref, &w.info)
+        .iter()
+        .map(|q| q.var)
+        .collect();
+    let uncached = EngineConfig {
+        cache_summaries: false,
+        ..config
+    };
+    let reference: Vec<u64> = Session::with_config(&w.pag, EngineKind::DynSum, uncached)
+        .run_batch_vars(&vars, 1)
+        .iter()
+        .map(QueryResult::fingerprint)
+        .collect();
+    for kind in EngineKind::ALL {
+        let mut engine = kind.build(&w.pag, config);
+        let stream: Vec<u64> = vars
+            .iter()
+            .map(|&v| engine.points_to(v).fingerprint())
+            .collect();
+        if kind == EngineKind::DynSum {
+            assert_eq!(stream, reference, "{}: {kind} vs cache-free", w.name);
+        }
+        for threads in [1usize, 2, 4] {
+            let batch: Vec<u64> = Session::with_config(&w.pag, kind, config)
+                .run_batch_vars(&vars, threads)
+                .iter()
+                .map(QueryResult::fingerprint)
+                .collect();
+            assert_eq!(batch, stream, "{}: {kind} threads={threads}", w.name);
+        }
+    }
 }
 
 proptest! {
@@ -89,6 +134,23 @@ proptest! {
             &GeneratorOptions { scale: 0.01, seed, ..GeneratorOptions::default() },
         );
         check_workload(&w, EngineConfig::default());
+    }
+
+    /// One query path: every engine answers identically whether driven
+    /// one query at a time or batched at any thread count, at a normal
+    /// and a starved budget.
+    #[test]
+    fn every_engine_agrees_across_query_paths_on_generated_graphs(
+        seed in 0u64..500,
+        pidx in 0usize..PROFILES.len(),
+    ) {
+        let w = generate(
+            &PROFILES[pidx],
+            &GeneratorOptions { scale: 0.01, seed, ..GeneratorOptions::default() },
+        );
+        for budget in [EngineConfig::default().budget, 100] {
+            check_every_engine(&w, EngineConfig { budget, ..EngineConfig::default() });
+        }
     }
 }
 
@@ -120,7 +182,7 @@ fn tight_budgets_stay_deterministic_across_thread_counts() {
 }
 
 /// The memorization-free and static engines parallelize trivially; spot
-/// check STASUM (shared frozen store) against its legacy engine.
+/// check STASUM (shared frozen store) against a per-query stream.
 #[test]
 fn stasum_sessions_match_legacy_engine() {
     let w = generate(
@@ -132,14 +194,14 @@ fn stasum_sessions_match_legacy_engine() {
         },
     );
     let queries = queries_for(ClientKind::SafeCast, &w.info);
-    let mut legacy = StaSum::precompute(&w.pag);
+    let mut per_query = Session::new(&w.pag, EngineKind::StaSum);
     let sequential: Vec<_> = queries
         .iter()
-        .map(|q| fingerprint(&legacy.points_to(q.var)))
+        .map(|q| fingerprint(&per_query.points_to(q.var)))
         .collect();
     let batch: Vec<SessionQuery<'_>> = queries.iter().map(|q| SessionQuery::new(q.var)).collect();
     let mut session = Session::new(&w.pag, EngineKind::StaSum);
-    assert_eq!(session.summary_count(), legacy.summary_count());
+    assert_eq!(session.summary_count(), per_query.summary_count());
     for threads in [1usize, 3] {
         let results = session.run_batch(&batch, threads);
         for (want, r) in sequential.iter().zip(&results) {

@@ -9,8 +9,8 @@
 use dynsum::cfl::CtxId;
 use dynsum::pag::ObjId;
 use dynsum::{
-    ClientKind, DemandPointsTo, DynSum, EngineConfig, EngineKind, QueryResult, Session,
-    SessionQuery, SnapshotReject,
+    ClientKind, DemandPointsTo, EngineConfig, EngineKind, QueryResult, Session, SessionQuery,
+    SnapshotReject,
 };
 use dynsum_clients::queries_for;
 use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions, PROFILES};
@@ -49,7 +49,7 @@ proptest! {
         let w = generate(&PROFILES[pidx], &GeneratorOptions { scale: 0.01, seed, ..GeneratorOptions::default() });
         let queries = queries_for(ClientKind::NullDeref, &w.info);
         let cold: Vec<_> = {
-            let mut engine = DynSum::new(&w.pag);
+            let mut engine = Session::new(&w.pag, EngineKind::DynSum);
             queries.iter().map(|q| fingerprint(&engine.points_to(q.var))).collect()
         };
         let batch: Vec<SessionQuery<'_>> =
@@ -227,7 +227,7 @@ fn save_after_invalidation_never_resurrects_fenced_summaries() {
     // Queries recompute the method correctly after all of that.
     let results = restored.run_batch(&batch, 2);
     let cold: Vec<_> = {
-        let mut engine = DynSum::new(&w.pag);
+        let mut engine = Session::new(&w.pag, EngineKind::DynSum);
         queries
             .iter()
             .map(|q| fingerprint(&engine.points_to(q.var)))

@@ -525,12 +525,6 @@ impl<'p> Session<'p> {
         self.warm.len()
     }
 
-    /// Drops the warm worker pool (for memory pressure; the next batch
-    /// rebuilds scratch from scratch).
-    pub fn shed_workers(&mut self) {
-        self.warm.clear();
-    }
-
     /// Lifetime count of batch workers that could not be spawned and
     /// were degraded to in-line execution instead of panicking.
     pub fn spawn_failures(&self) -> u64 {
@@ -776,21 +770,34 @@ impl<'p> Session<'p> {
         let threads = threads.clamp(1, queries.len());
         let epoch = self.epoch;
         if threads == 1 {
-            // The sequential fast path: same slot checkout, chunk run,
-            // and shard merge as the parallel path, minus the scoped
-            // spawn/join a lone worker would only pay overhead for.
+            // The sequential fast path: the same claim loop on the
+            // calling thread with a cursor no other thread touches, so
+            // results arrive in input order — no scoped spawn/join and
+            // no scatter.
             let slot = self.checkout();
-            let (out, scratch) = run_chunk(self, slot, queries, 0, epoch, control);
+            let mut results = Vec::with_capacity(queries.len());
+            let cursor = AtomicUsize::new(0);
+            let scratch = run_stealing(self, slot, queries, &cursor, epoch, control, |_, r| {
+                results.push(r)
+            });
             self.retire_slot(scratch, epoch);
             self.finish_merge();
-            self.count_outcomes(&out);
-            return out;
+            self.count_outcomes(&results);
+            return results;
         }
         let mut slots: Vec<HandleScratch> = (0..threads).map(|_| self.checkout()).collect();
         let stack_bytes = self.config.worker_stack_bytes;
         let sess: &Session<'p> = self;
         let cursor = AtomicUsize::new(0);
         let cursor = &cursor;
+        // One worker's share: the `(index, result)` pairs it claimed.
+        let claim = move |slot| {
+            let mut out = Vec::new();
+            let scratch = run_stealing(sess, slot, queries, cursor, epoch, control, |i, r| {
+                out.push((i, r))
+            });
+            (out, scratch)
+        };
         let (per_worker, failures) = thread::scope(|scope| {
             let mut spawned = Vec::with_capacity(threads);
             let mut failures = 0u64;
@@ -809,9 +816,7 @@ impl<'p> Session<'p> {
                 }
                 let spawn = thread::Builder::new()
                     .stack_size(stack_bytes)
-                    .spawn_scoped(scope, move || {
-                        run_stealing(sess, slot, queries, cursor, epoch, control)
-                    });
+                    .spawn_scoped(scope, move || claim(slot));
                 match spawn {
                     Ok(worker) => spawned.push(worker),
                     Err(_) => failures += 1,
@@ -823,14 +828,7 @@ impl<'p> Session<'p> {
                 // Degraded mode: the calling thread joins the claim
                 // loop, overlapping any workers that did spawn, so the
                 // batch always drains even when no worker could start.
-                per_worker.push(run_stealing(
-                    sess,
-                    sess.new_scratch(),
-                    queries,
-                    cursor,
-                    epoch,
-                    control,
-                ));
+                per_worker.push(claim(sess.new_scratch()));
             }
             for worker in spawned {
                 match worker.join() {
@@ -892,16 +890,20 @@ impl<'p> Session<'p> {
 
 /// One worker's dynamic claim loop: pull the next unclaimed global
 /// query index off the shared cursor until the batch is drained,
-/// returning the claimed `(index, result)` pairs together with the
-/// scratch so [`Session::run_batch`] can scatter results back into
-/// input order, drain the shard, and keep the scratch warm.
+/// handing each `(index, result)` to `emit`, and return the scratch so
+/// [`Session::run_batch`] can drain its shard and keep it warm.
 ///
 /// Which worker claims which index is racy and irrelevant: the
 /// [`FaultPlan`] and per-query fuses key off the *global* index
 /// claimed, and deterministic reuse accounting makes every result a
 /// pure function of `(pag, config, query)` — so any interleaving
-/// produces byte-identical results. The per-query `catch_unwind`
-/// isolation is identical to [`run_chunk`]'s.
+/// produces byte-identical results. Every query runs under
+/// `catch_unwind`, so a panic yields a per-query
+/// [`QueryResult::panicked`] while the rest of the batch completes.
+///
+/// A 1-thread batch calls this on the calling thread with a private
+/// cursor, so results are emitted in input order; multi-thread workers
+/// collect pairs for the scatter.
 fn run_stealing<'s, 'p>(
     sess: &'s Session<'p>,
     scratch: HandleScratch,
@@ -909,13 +911,13 @@ fn run_stealing<'s, 'p>(
     cursor: &AtomicUsize,
     epoch: u64,
     control: &BatchControl,
-) -> (Vec<(usize, QueryResult)>, HandleScratch) {
+    mut emit: impl FnMut(usize, QueryResult),
+) -> HandleScratch {
     let mut h = QueryHandle {
         session: sess,
         scratch,
         epoch,
     };
-    let mut out = Vec::new();
     loop {
         // Ordering::Relaxed — uniqueness comes from the RMW's
         // atomicity, not its ordering: no two workers can observe the
@@ -938,65 +940,21 @@ fn run_stealing<'s, 'p>(
             }
             h.query_with(q.var, q.satisfied, &qc)
         }));
-        out.push((
+        emit(
             i,
             run.unwrap_or_else(|_| {
-                // Same discard discipline as `run_chunk`: nothing a
-                // half-unwound query touched can reach the shared cache.
+                // The unwound query may have left the scratch — and, for
+                // DYNSUM, the in-flight shard — half-updated: discard it
+                // wholesale. Summaries the *discarded* shard held are
+                // merely recomputed later at the exact budget price their
+                // reuse would have charged (deterministic accounting), so
+                // results are unaffected.
                 h.scratch = sess.new_scratch();
                 QueryResult::panicked()
             }),
-        ));
+        );
     }
-    (out, h.scratch)
-}
-
-/// Runs one contiguous chunk of a batch on (owned) worker scratch,
-/// returning the results together with the scratch so the sequential
-/// fast path of [`Session::run_batch`] can drain its shard and keep it
-/// warm.
-///
-/// `base` is the chunk's first global query index — the key the
-/// [`FaultPlan`] and per-query fuses are resolved against. Every query
-/// evaluation runs under `catch_unwind`: a panic yields a per-query
-/// [`QueryResult::panicked`] and replaces the handle's scratch (shard
-/// included) with fresh state, so nothing a half-unwound query touched
-/// can reach the shared cache.
-fn run_chunk<'s, 'p>(
-    sess: &'s Session<'p>,
-    scratch: HandleScratch,
-    chunk: &[SessionQuery<'_>],
-    base: usize,
-    epoch: u64,
-    control: &BatchControl,
-) -> (Vec<QueryResult>, HandleScratch) {
-    let mut h = QueryHandle {
-        session: sess,
-        scratch,
-        epoch,
-    };
-    let mut out = Vec::with_capacity(chunk.len());
-    for (i, q) in chunk.iter().enumerate() {
-        let qc = control.query_control(base + i);
-        let inject_panic = control.injects_panic(base + i);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected query fault");
-            }
-            h.query_with(q.var, q.satisfied, &qc)
-        }));
-        out.push(run.unwrap_or_else(|_| {
-            // The unwound query may have left the scratch — and, for
-            // DYNSUM, the in-flight shard — half-updated: discard it
-            // wholesale. Summaries the *discarded* shard held are merely
-            // recomputed later at the exact budget price their reuse
-            // would have charged (deterministic accounting), so results
-            // are unaffected.
-            h.scratch = sess.new_scratch();
-            QueryResult::panicked()
-        }));
-    }
-    (out, h.scratch)
+    h.scratch
 }
 
 /// Translates a field-stack id interned in `from` into the equivalent id
@@ -1395,12 +1353,11 @@ mod tests {
             assert_eq!(a.resolved, b.resolved);
             assert_eq!(a.pts, b.pts);
         }
-        // A wider batch grows it; shedding empties it.
+        // A wider batch grows it; a narrower one reuses it.
         session.run_batch_vars(&vars, 4);
         assert_eq!(session.warm_workers(), 4);
-        session.shed_workers();
-        assert_eq!(session.warm_workers(), 0);
         assert!(session.run_batch_vars(&vars, 3).len() == vars.len());
+        assert_eq!(session.warm_workers(), 4);
     }
 
     #[test]

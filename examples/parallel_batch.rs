@@ -1,7 +1,8 @@
 //! Serve a NullDeref query stream from a shared `Session` at 1, 2 and 4
 //! worker threads, verifying that every thread count produces the same
 //! verdicts (and the same summary cache) before comparing throughput —
-//! a miniature of the `session_scaling` series in `BENCH_report.json`.
+//! a miniature of what the benchmark's `core.batch_speedup_2t` metric
+//! measures (`layerbench/`).
 //!
 //! Run with: `cargo run --release --example parallel_batch`
 

@@ -439,3 +439,143 @@ fn serve_pair_transport_survives_malformed_lines_and_shuts_down() {
         // The serve loop exits; the scope joins the daemon thread.
     });
 }
+
+/// Two OS-thread clients, each on its own socketpair connection into one
+/// `serve_pair` event loop, send closed-loop single-query frames over a
+/// generated workload; every wire answer must carry exactly the
+/// `(resolved, pts)` a clean single-client DYNSUM session computes — the
+/// daemon is a transparent multiplexer even while its shared session
+/// warms up under interleaved traffic.
+#[cfg(unix)]
+#[test]
+fn concurrent_socketpair_clients_match_a_clean_session() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    use std::sync::Barrier;
+
+    use dynsum::EngineConfig;
+    use dynsum_workloads::{generate, BenchmarkProfile, GeneratorOptions};
+
+    type Answer = (bool, Vec<(u64, u64)>);
+
+    let w = generate(
+        BenchmarkProfile::find("soot-c").unwrap(),
+        &GeneratorOptions {
+            scale: 0.01,
+            seed: 5,
+            ..GeneratorOptions::default()
+        },
+    );
+    // Every 37th variable gives empty, one-object and several-object
+    // sets, and a starved budget leaves some answers as unresolved
+    // partial sets: all of them must cross the wire intact.
+    let vars: Vec<_> = w.pag.vars().map(|(v, _)| v).step_by(37).collect();
+    let config = ServiceConfig {
+        engine_config: EngineConfig {
+            budget: 100,
+            ..EngineConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let mut clean = Session::with_config(&w.pag, EngineKind::DynSum, config.engine_config);
+    let want: Vec<Answer> = clean
+        .run_batch_vars(&vars, 1)
+        .iter()
+        .map(|r| {
+            let pts = r
+                .pts
+                .iter()
+                .map(|(o, c)| (u64::from(o.as_raw()), u64::from(c.as_raw())))
+                .collect();
+            (r.resolved, pts)
+        })
+        .collect();
+    assert!(want.iter().any(|(resolved, _)| !resolved));
+    assert!(want.iter().any(|(_, pts)| pts.len() > 1));
+
+    let (clients, servers): (Vec<UnixStream>, Vec<(UnixStream, UnixStream)>) = (0..2)
+        .map(|_| {
+            let (client_half, server_half) = UnixStream::pair().expect("socketpair");
+            let reader = server_half.try_clone().expect("clone");
+            (client_half, (reader, server_half))
+        })
+        .unzip();
+    let mut daemon = Daemon::new(
+        vec![ServedWorkload {
+            name: &w.name,
+            pag: &w.pag,
+        }],
+        config,
+    );
+    let both_connected = Barrier::new(2);
+    dynsum_cfl::sync::thread::scope(|scope| {
+        let server = scope.spawn(|| dynsum::service::serve_pair(&mut daemon, servers));
+        let runs: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(slot, stream)| {
+                let (vars, name, both_connected) = (&vars, &w.name, &both_connected);
+                scope.spawn(move || {
+                    let mut writer = stream.try_clone().expect("clone");
+                    let mut reader = BufReader::new(stream);
+                    let mut recv = || {
+                        let mut line = String::new();
+                        reader.read_line(&mut line).expect("read frame");
+                        parse(line.trim_end()).expect("valid JSON frame")
+                    };
+                    writeln!(
+                        writer,
+                        r#"{{"op":"hello","id":1,"name":"c{slot}","engine":"dynsum","workload":"{name}"}}"#
+                    )
+                    .unwrap();
+                    assert!(is_ok(&recv()), "client {slot} hello");
+                    // Neither client queries until both share the session,
+                    // so their query streams overlap in the event loop.
+                    both_connected.wait();
+                    // The clients walk the stream from opposite ends so
+                    // their queries interleave on distinct variables.
+                    let order: Vec<usize> = if slot == 0 {
+                        (0..vars.len()).collect()
+                    } else {
+                        (0..vars.len()).rev().collect()
+                    };
+                    let mut got = Vec::with_capacity(order.len());
+                    for (n, &i) in order.iter().enumerate() {
+                        let id = 2 + n as u64;
+                        writeln!(
+                            writer,
+                            r#"{{"op":"query","id":{id},"var":{}}}"#,
+                            vars[i].as_raw()
+                        )
+                        .unwrap();
+                        let frame = recv();
+                        assert!(is_ok(&frame), "client {slot} query {id}: {frame:?}");
+                        assert_eq!(frame.get("id").and_then(Json::as_u64), Some(id));
+                        let result = frame.get("result").expect("query frames carry a result");
+                        let resolved = result.get("resolved").and_then(Json::as_bool).unwrap();
+                        let pts = result
+                            .get("pts")
+                            .and_then(Json::as_arr)
+                            .unwrap()
+                            .iter()
+                            .map(|pair| {
+                                let pair = pair.as_arr().unwrap();
+                                (pair[0].as_u64().unwrap(), pair[1].as_u64().unwrap())
+                            })
+                            .collect();
+                        got.push((i, (resolved, pts)));
+                    }
+                    // Dropping the socket hangs up; the event loop drains
+                    // out once both clients are gone.
+                    got
+                })
+            })
+            .collect();
+        for run in runs {
+            for (i, answer) in run.join().expect("client thread") {
+                assert_eq!(answer, want[i], "wire answer for query {i} diverged");
+            }
+        }
+        server.join().expect("server thread");
+    });
+}
